@@ -260,12 +260,10 @@ let default_config =
 exception Program_exit of int
 exception Stuck of string
 
-type frame = {
-  fr_fd : fundec;
-  fr_block : int;
-  fr_offsets : (string, int * ty) Hashtbl.t;
-  fr_env : Minic.Typecheck.env;
-}
+(* A function activation: the memory block holding its parameters and
+   locals. Everything else about the function (variable offsets, static
+   types) is resolved when its body is compiled. *)
+type frame = { fr_block : int } [@@unboxed]
 
 type t = {
   prog : program;
@@ -301,16 +299,9 @@ type t = {
   mutable pct_floor : int;
       (** strictly decreasing change-point floor: each demotion lands
           below every priority handed out so far *)
-  fenvs : (string, Minic.Typecheck.env) Hashtbl.t;
-      (** per-engine function-env cache; engines must not share mutable
-          state so that runs on different domains stay independent *)
   flayouts : (string, (string, int * ty) Hashtbl.t * int) Hashtbl.t;
       (** per-function frame layout (offsets table, frame size): static
           per function, shared read-only by all its frames *)
-  sid_sort_perm : (int, int array) Hashtbl.t;
-      (** per-[WeakEnter] canonical acquisition order, as a permutation
-          of the statement's acquisition list (the locks are static per
-          statement, so the sort need only happen once) *)
   cbodies : (string, thread -> frame -> unit) Hashtbl.t;
       (** per-function staged bodies: each body is closure-compiled on
           its first call, with variable offsets, field offsets, element
@@ -329,14 +320,6 @@ type t = {
       (** per-phase wall-clock attribution; [None] (the default) reads
           no clocks at all *)
 }
-
-let trace_enabled =
-  match Sys.getenv_opt "CHIMERA_TRACE" with Some ("1" | "true") -> true | _ -> false
-
-let trace eng fmt =
-  if trace_enabled then
-    Fmt.kstr (fun m -> Fmt.epr "[%d] %s@." eng.ticks m) fmt
-  else Fmt.kstr (fun _ -> ()) fmt
 
 (* Trace emission: timestamped with the thread's per-thread step count
    (the logical clock of DESIGN.md §10), and charging no simulated ticks
@@ -481,68 +464,11 @@ let on_mem eng (th : thread) (p : Value.ptr) ~write ~sid =
   | None -> ()
 
 (* Pairs the operand values of a compiled binary operation through a
-   function application, so the operands evaluate in the same
-   (right-to-left) order as the interpreted [binop eng op (eval a)
-   (eval b)] call they replace. *)
+   function application, so the operands evaluate right to left, as the
+   arguments of the generic [binop op (ca th fr) (cb th fr)] do. *)
 let binop_args (va : Value.t) (vb : Value.t) = (va, vb)
 
-(* The address computation also yields the lvalue's static type: the
-   callers need it for array decay and pointer-arithmetic scaling, and
-   computing it alongside the address avoids re-walking nested lvalues
-   once per query (address, decay check, element size) as separate
-   [type_of_lval] calls would. *)
-let rec eval eng th fr ~sid (e : exp) : Value.t =
-  match e with
-  | Const n -> VInt n
-  | Lval (Var v) -> (
-      match Hashtbl.find_opt fr.fr_offsets v with
-      | Some (off, ty) -> (
-          let p = { Value.p_block = fr.fr_block; p_off = off } in
-          match ty with
-          | Tarray _ -> VPtr p
-          | _ ->
-              on_mem eng th p ~write:false ~sid;
-              Mem.load eng.mem p)
-      | None ->
-          if Hashtbl.mem eng.tenv.funs v then VFun v
-          else (
-            match Hashtbl.find_opt eng.globals v with
-            | Some bid -> (
-                let p = { Value.p_block = bid; p_off = 0 } in
-                match Hashtbl.find_opt eng.tenv.globals v with
-                | Some (Tarray _) -> VPtr p
-                | _ ->
-                    on_mem eng th p ~write:false ~sid;
-                    Mem.load eng.mem p)
-            | None -> Value.fault "unbound variable %s" v))
-  | Lval lv -> (
-      (* arrays decay to their address in expression position *)
-      match lval_addr_ty eng th fr ~sid lv with
-      | p, Tarray _ -> VPtr p
-      | p, _ ->
-          on_mem eng th p ~write:false ~sid;
-          Mem.load eng.mem p)
-  | AddrOf (Var v) when (not (Hashtbl.mem fr.fr_offsets v))
-                        && Hashtbl.mem eng.tenv.funs v ->
-      VFun v
-  | AddrOf lv -> VPtr (lval_addr eng th fr ~sid lv)
-  | Unop (op, e) -> (
-      let v = eval eng th fr ~sid e in
-      match op with
-      | Neg -> VInt (-Value.to_int v)
-      | LNot -> VInt (if Value.truthy v then 0 else 1)
-      | BNot -> VInt (lnot (Value.to_int v)))
-  | Binop (LAnd, a, b) ->
-      if Value.truthy (eval eng th fr ~sid a) then
-        VInt (if Value.truthy (eval eng th fr ~sid b) then 1 else 0)
-      else VInt 0
-  | Binop (LOr, a, b) ->
-      if Value.truthy (eval eng th fr ~sid a) then VInt 1
-      else VInt (if Value.truthy (eval eng th fr ~sid b) then 1 else 0)
-  | Binop (op, a, b) -> binop eng op (eval eng th fr ~sid a) (eval eng th fr ~sid b)
-
-and binop eng op (va : Value.t) (vb : Value.t) : Value.t =
-  ignore eng;
+let binop op (va : Value.t) (vb : Value.t) : Value.t =
   let open Value in
   let bool b = VInt (if b then 1 else 0) in
   match (op, va, vb) with
@@ -577,71 +503,6 @@ and binop eng op (va : Value.t) (vb : Value.t) : Value.t =
       | Ne -> bool (x <> y)
       | LAnd | LOr -> assert false)
   | _ -> Value.fault "ill-typed binary operation"
-
-and lval_addr eng th fr ~sid (lv : lval) : Value.ptr =
-  fst (lval_addr_ty eng th fr ~sid lv)
-
-and lval_addr_ty eng th fr ~sid (lv : lval) : Value.ptr * ty =
-  match lv with
-  | Var v -> (
-      match Hashtbl.find_opt fr.fr_offsets v with
-      | Some (off, ty) -> ({ p_block = fr.fr_block; p_off = off }, ty)
-      | None -> (
-          match Hashtbl.find_opt eng.globals v with
-          | Some bid ->
-              let ty =
-                match Hashtbl.find_opt eng.tenv.globals v with
-                | Some t -> t
-                | None -> Tint
-              in
-              ({ p_block = bid; p_off = 0 }, ty)
-          | None -> Value.fault "unbound variable %s" v))
-  | Deref e -> (
-      match eval eng th fr ~sid e with
-      | VPtr p ->
-          let ty =
-            match Minic.Typecheck.type_of_exp fr.fr_env e with
-            | Tptr t | Tarray (t, _) -> t
-            | _ -> Tint (* int treated as address of int cells; loose *)
-          in
-          (p, ty)
-      | v -> Value.fault "dereference of non-pointer %a" Value.pp v)
-  | Index (base, idx) ->
-      let p, bty = lval_addr_ty eng th fr ~sid base in
-      let p, ety =
-        (* indexing through a pointer variable loads the pointer first *)
-        match bty with
-        | Tptr t -> (
-            on_mem eng th p ~write:false ~sid;
-            match Mem.load eng.mem p with
-            | VPtr q -> (q, t)
-            | v -> Value.fault "indexing non-pointer %a" Value.pp v)
-        | Tarray (t, _) -> (p, t)
-        | t -> (p, t)
-      in
-      let i = Value.to_int (eval eng th fr ~sid idx) in
-      let es = Layout.sizeof eng.layout ety in
-      ({ p with p_off = p.p_off + (i * es) }, ety)
-  | Field (base, f) ->
-      let p, bty = lval_addr_ty eng th fr ~sid base in
-      let sname =
-        match bty with
-        | Tstruct s -> s
-        | t -> Value.fault "field access on %a" Minic.Ast.pp_ty t
-      in
-      let off, fty = Layout.field_offset eng.layout sname f in
-      ({ p with p_off = p.p_off + off }, fty)
-  | Arrow (e, f) -> (
-      match eval eng th fr ~sid e with
-      | VPtr p ->
-          let sname =
-            match Minic.Typecheck.type_of_exp fr.fr_env e with
-            | Tptr (Tstruct s) -> s
-            | t -> Value.fault "-> on %a" Minic.Ast.pp_ty t
-          in
-          let off, fty = Layout.field_offset eng.layout sname f in
-          ({ p with p_off = p.p_off + off }, fty)
-      | v -> Value.fault "-> on non-pointer %a" Value.pp v)
 
 (* ------------------------------------------------------------------ *)
 (* Record / replay plumbing *)
@@ -829,9 +690,6 @@ let gate_syscall eng th =
           | None -> Replay.Replayer.unconstrained r)
 
 let record_syscall eng th (values : int list) =
-  trace eng "%a syscall [%a]" K.pp_tid_path th.path
-    Fmt.(list ~sep:comma int)
-    (Runtime.Listx.take 4 values);
   eng.stats.n_syscalls <- eng.stats.n_syscalls + 1;
   emit_ev eng th Trace.Syscall;
   (match eng.recorder with
@@ -899,8 +757,8 @@ let self_block eng (th : thread) (reason : block_reason) =
 (* ------------------------------------------------------------------ *)
 (* Synchronization builtins *)
 
-let ptr_of eng th fr ~sid e =
-  match eval eng th fr ~sid e with
+let ptr_of (ce : thread -> frame -> Value.t) th fr =
+  match ce th fr with
   | Value.VPtr p -> p
   | v -> Value.fault "expected pointer argument, got %a" Value.pp v
 
@@ -913,7 +771,6 @@ let rec mutex_lock ?(spin = false) eng th (key : K.addr) =
       (* if a preemption stripped our region locks mid-spin, take them
          back before the code behind the mutex touches shared state *)
       det_ensure_reacquired_fwd eng th;
-      trace eng "%a acq-mutex %a" K.pp_tid_path th.path K.pp_addr key;
       record_sync eng th key SMutexAcq;
       fire_sync eng th (SyAcquire key)
   | `Blocked when det_mode eng ->
@@ -935,7 +792,6 @@ let mutex_unlock eng th (key : K.addr) =
   (match Runtime.Sync.Mutex.release eng.mutexes key ~tid:th.tid with
   | `Released waiters -> List.iter (wake_tid eng) waiters
   | `Not_owner -> () (* unlocking a free/foreign mutex: tolerated, as glibc *));
-  trace eng "%a rel-mutex %a" K.pp_tid_path th.path K.pp_addr key;
   record_sync eng th key SMutexRel;
   fire_sync eng th (SyRelease key)
 
@@ -952,10 +808,9 @@ let barrier_wait eng th (key : K.addr) =
         (fun tid ->
           if tid <> th.tid then begin
             (match Hashtbl.find_opt eng.threads tid with
-            | Some t' -> fire_sync eng t' (SyBarrier key)
-            | None -> ());
-            (match Hashtbl.find_opt eng.threads tid with
-            | Some t' -> det_unpark t'
+            | Some t' ->
+                fire_sync eng t' (SyBarrier key);
+                det_unpark t'
             | None -> ());
             wake_tid eng tid
           end)
@@ -967,7 +822,7 @@ let barrier_wait eng th (key : K.addr) =
       det_unpark th;
       det_ensure_reacquired_fwd eng th
 
-let rec cond_wait eng th (ckey : K.addr) (mkey : K.addr) =
+let cond_wait eng th (ckey : K.addr) (mkey : K.addr) =
   gate_sync eng th ckey SCondWait;
   det_ensure_reacquired_fwd eng th;
   det_gate eng th;
@@ -985,23 +840,7 @@ let rec cond_wait eng th (ckey : K.addr) (mkey : K.addr) =
   det_ensure_reacquired_fwd eng th;
   fire_sync eng th (SyCondWake ckey);
   (* reacquire the mutex (recorded as a mutex acquisition) *)
-  mutex_relock eng th mkey
-
-and mutex_relock ?(spin = false) eng th (key : K.addr) =
-  gate_sync eng th key SMutexAcq;
-  if not spin then det_ensure_reacquired_fwd eng th;
-  det_gate ~reacquire:(not spin) eng th;
-  match Runtime.Sync.Mutex.acquire eng.mutexes key ~tid:th.tid with
-  | `Acquired ->
-      det_ensure_reacquired_fwd eng th;
-      record_sync eng th key SMutexAcq;
-      fire_sync eng th (SyAcquire key)
-  | `Blocked when det_mode eng ->
-      det_retry_bump eng th;
-      mutex_relock ~spin:true eng th key
-  | `Blocked ->
-      self_block eng th (BMutex key);
-      mutex_relock eng th key
+  mutex_lock eng th mkey
 
 let cond_signal eng th (key : K.addr) ~broadcast =
   let op : Replay.Log.sync_op =
@@ -1022,7 +861,11 @@ let cond_signal eng th (key : K.addr) ~broadcast =
 (* ------------------------------------------------------------------ *)
 (* Weak-lock regions (Section 2.3) *)
 
-let claim_of_ranges eng th fr ~sid (ranges : warange list) : WL.claim =
+(* A compiled claim range: its low and high bound expressions and whether
+   the region writes it. *)
+type crange = (thread -> frame -> Value.t) * (thread -> frame -> Value.t) * bool
+
+let claim_of_ranges th fr (ranges : crange list) : WL.claim =
   (* single left-to-right pass; if any range fails to evaluate to a
      same-block pair, fall back to the total claim (sound). The
      evaluation side effects (mem-op hooks) of the remaining ranges still
@@ -1030,14 +873,14 @@ let claim_of_ranges eng th fr ~sid (ranges : warange list) : WL.claim =
   let failed = ref false in
   let rs =
     List.map
-      (fun (r : warange) ->
-        match (eval eng th fr ~sid r.wr_lo, eval eng th fr ~sid r.wr_hi) with
+      (fun ((clo, chi, write) : crange) ->
+        match (clo th fr, chi th fr) with
         | Value.VPtr lo, Value.VPtr hi when lo.p_block = hi.p_block ->
             {
               WL.rg_block = lo.p_block;
               rg_lo = min lo.p_off hi.p_off;
               rg_hi = max lo.p_off hi.p_off;
-              rg_write = r.wr_write;
+              rg_write = write;
             }
         | _ ->
             failed := true;
@@ -1086,8 +929,6 @@ let rec weak_acquire_one ?(det_retries = 0) eng th (lock : weak_lock)
   det_gate eng th;
   match WL.acquire eng.weak lock ~tid:th.tid ~claim with
   | `Acquired ->
-      trace eng "%a acq %a clk=%d" K.pp_tid_path th.path pp_weak_lock lock
-        th.det_clock;
       record_weak eng th lock ~claim:(stable_claim eng claim);
       fire_sync eng th (SyWeakAcq lock)
   | `Blocked owners when det_mode eng ->
@@ -1126,7 +967,6 @@ let rec weak_acquire_one ?(det_retries = 0) eng th (lock : weak_lock)
       det_retry_bump eng th;
       weak_acquire_one ~det_retries:(det_retries + 1) eng th lock claim
   | `Blocked _owners ->
-      trace eng "%a blocked-on %a" K.pp_tid_path th.path pp_weak_lock lock;
       emit_ev eng th
         (Trace.Weak_block (lock, WL.waiter_count eng.weak lock));
       self_block eng th (BWeak (lock, claim));
@@ -1164,8 +1004,6 @@ let () = det_ensure_reacquired_ref := det_ensure_reacquired
    of [det_immune] in one pass — the per-lock filter here would rescan
    the list once per released lock *)
 let weak_release_one ?(drop_immune = true) eng th (lock : weak_lock) =
-  trace eng "%a rel %a clk=%d" K.pp_tid_path th.path pp_weak_lock lock
-    th.det_clock;
   if drop_immune && th.det_immune <> [] then
     th.det_immune <- List.filter (fun l -> l <> lock) th.det_immune;
   emit_ev eng th (Trace.Weak_release lock);
@@ -1224,46 +1062,20 @@ let release_batch eng th (ls : weak_lock list) =
    global-minimum turn, or the winner of a freed lock becomes whichever
    spinner's retry physically follows the release — a race on the host
    schedule, not a function of the logical clocks. *)
-let weak_enter eng th fr ~sid (acqs : weak_acq list) =
+let weak_enter eng th fr (acqs : (weak_lock * crange list) array)
+    (order : int list) =
   let cost = eng.cfg.cost in
   (match th.regions with
-  | { rg_acqs = _ :: _ } :: _ -> det_ensure_reacquired eng th
-  | _ -> ());
-  (* suspend outer region *)
-  (match th.regions with
-  | { rg_acqs } :: _ -> release_batch eng th (List.map fst rg_acqs)
+  | { rg_acqs } :: _ ->
+      if rg_acqs <> [] then det_ensure_reacquired eng th;
+      (* suspend outer region *)
+      release_batch eng th (List.map fst rg_acqs)
   | [] -> ());
   (* claims are evaluated in source order (the hook-visible side effects
-     must not move), then permuted into canonical lock order. The
-     permutation depends only on the statement's static lock list, so it
-     is computed once per sid. [List.sort] is stable, so the cached
-     stable permutation reproduces it exactly. *)
-  let resolved =
-    List.map (fun a -> (a.wa_lock, claim_of_ranges eng th fr ~sid a.wa_ranges)) acqs
-  in
-  let resolved =
-    match resolved with
-    | [] | [ _ ] -> resolved
-    | _ ->
-        let arr = Array.of_list resolved in
-        let n = Array.length arr in
-        let perm =
-          match Hashtbl.find_opt eng.sid_sort_perm sid with
-          | Some p when Array.length p = n -> p
-          | _ ->
-              let idx = Array.init n Fun.id in
-              let locks = Array.map fst arr in
-              let sorted =
-                List.stable_sort
-                  (fun i j -> compare_weak_lock locks.(i) locks.(j))
-                  (Array.to_list idx)
-              in
-              let p = Array.of_list sorted in
-              Hashtbl.replace eng.sid_sort_perm sid p;
-              p
-        in
-        Array.to_list (Array.map (fun i -> arr.(i)) perm)
-  in
+     must not move), then taken in the canonical lock order [order], which
+     the compiler fixed once from the statement's static lock list *)
+  let claims = Array.map (fun (_, ranges) -> claim_of_ranges th fr ranges) acqs in
+  let resolved = List.map (fun i -> (fst acqs.(i), claims.(i))) order in
   List.iter
     (fun ((l : weak_lock), claim) ->
       let c =
@@ -1278,11 +1090,25 @@ let weak_enter eng th fr ~sid (acqs : weak_acq list) =
   emit_ev eng th (Trace.Region_enter (List.length resolved));
   th.regions <- { rg_acqs = resolved } :: th.regions
 
+(* reacquire the locks of the now-innermost region, suspended when the
+   region just left was entered *)
+let resume_outer_region eng th =
+  match th.regions with
+  | { rg_acqs } :: _ ->
+      let cost = eng.cfg.cost in
+      List.iter
+        (fun (l, claim) ->
+          let c = cost.c_weak_op + charge_log_weak eng in
+          eng.stats.weak_op_ticks <- eng.stats.weak_op_ticks + cost.c_weak_op;
+          step c;
+          weak_acquire_one eng th l claim)
+        rg_acqs
+  | [] -> ()
+
 (* exit a region: release our locks, reacquire the suspended outer ones.
    Gated for the same reason as [weak_enter]: the releases must happen
    under the deterministic turn. *)
 let weak_exit eng th (locks : weak_lock list) =
-  let cost = eng.cfg.cost in
   (* a lock stripped from the exiting region and not yet reacquired is
      no longer needed: drop the pending reacquisition rather than taking
      the lock back only to free it — a stale entry that survived the
@@ -1309,17 +1135,7 @@ let weak_exit eng th (locks : weak_lock list) =
   | { rg_acqs } :: rest ->
       release_batch eng th (List.map fst rg_acqs);
       th.regions <- rest;
-      (* reacquire the now-innermost region's locks *)
-      (match th.regions with
-      | { rg_acqs } :: _ ->
-          List.iter
-            (fun (l, claim) ->
-              let c = cost.c_weak_op + charge_log_weak eng in
-              eng.stats.weak_op_ticks <- eng.stats.weak_op_ticks + cost.c_weak_op;
-              step c;
-              weak_acquire_one eng th l claim)
-            rg_acqs
-      | [] -> ())
+      resume_outer_region eng th
   | [] ->
       (* unbalanced exit: tolerate (can happen via break/return paths if
          the instrumenter missed a path; release defensively) *)
@@ -1338,8 +1154,6 @@ let weak_exit eng th (locks : weak_lock list) =
    engine-side: strip [lock] from [owner], remember it for reacquisition. *)
 let apply_forced_release eng (owner : thread) (lock : weak_lock) =
   if WL.holds eng.weak lock ~tid:owner.tid then begin
-    trace eng "forced-release %a from %a at steps=%d" pp_weak_lock lock
-      K.pp_tid_path owner.path owner.steps;
     eng.stats.n_forced <- eng.stats.n_forced + 1;
     emit_ev eng owner (Trace.Weak_forced lock);
     (match eng.recorder with
@@ -1450,11 +1264,9 @@ let sys_output eng th (v : int) : unit =
   step (eng.cfg.cost.c_syscall + charge_log_input eng 0)
 
 (* [net_read(buf, max)] / [file_read(buf, max)] *)
-let sys_read eng th fr ~sid ~(net : bool) (buf_e : exp) (max_e : exp) : Value.t
-    =
-  let buf = ptr_of eng th fr ~sid buf_e in
-  let maxn = Value.to_int (eval eng th fr ~sid max_e) in
-  (* latency: only when not replaying (replay feeds input directly) *)
+let sys_read eng th fr ~sid ~(net : bool) cbuf cmax : Value.t =
+  let buf = ptr_of cbuf th fr in
+  let maxn = Value.to_int (cmax th fr) in
   let latency = if net then eng.cfg.cost.l_net else eng.cfg.cost.l_file in
   (* Latency is wall-time emulation: replay feeds recorded input
      directly, and deterministic execution must not let real time
@@ -1501,19 +1313,35 @@ let layout_of (eng : t) (fd : fundec) :
       List.iter
         (fun (v : var_decl) ->
           Hashtbl.replace offsets v.v_name (!off, v.v_ty);
-          off := !off + max 1 (Layout.sizeof eng.layout v.v_ty))
+          let size =
+            (* a declaration of an unknown struct *)
+            try Layout.sizeof eng.layout v.v_ty
+            with Invalid_argument m -> raise (Value.Fault m)
+          in
+          off := !off + max 1 size)
         (fd.f_params @ fd.f_locals);
       let l = (offsets, !off) in
       Hashtbl.replace eng.flayouts fd.f_name l;
       l
 
-let fun_env_of eng (fd : fundec) =
-  match Hashtbl.find_opt eng.fenvs fd.f_name with
-  | Some e -> e
-  | None ->
-      let e = Minic.Typecheck.fun_env eng.tenv fd in
-      Hashtbl.replace eng.fenvs fd.f_name e;
-      e
+(* Static queries of the compiler (an expression's type, a field offset,
+   an element size) fail only on an ill-typed program: one that skipped
+   [Typecheck], or that names an undeclared struct. The failure becomes
+   the message of the [Value.Fault] that [faulting] raises when the
+   program reaches the node. *)
+let static f =
+  match f () with
+  | v -> Ok v
+  | exception
+      (Minic.Typecheck.Type_error (m, _) | Invalid_argument m | Value.Fault m)
+    ->
+      Error m
+
+(* the closure of a node whose static query failed: evaluate the node's
+   operand, then fault *)
+let faulting m c th fr =
+  ignore (c th fr);
+  raise (Value.Fault m)
 
 let rec exec_fun eng th (fname : string) (args : Value.t list) : Value.t =
   let fd =
@@ -1527,10 +1355,7 @@ let rec exec_fun eng th (fname : string) (args : Value.t list) : Value.t =
   let origin = K.OFrame (th.path, th.frame_seq) in
   th.frame_seq <- th.frame_seq + 1;
   let blk = Mem.alloc eng.mem origin size in
-  let fr =
-    { fr_fd = fd; fr_block = blk.Mem.b_id; fr_offsets = offsets;
-      fr_env = fun_env_of eng fd }
-  in
+  let fr = { fr_block = blk.Mem.b_id } in
   List.iteri
     (fun i (p : var_decl) ->
       match (List.nth_opt args i, Hashtbl.find_opt offsets p.v_name) with
@@ -1558,248 +1383,52 @@ let rec exec_fun eng th (fname : string) (args : Value.t list) : Value.t =
       if List.length rs > region_depth then drop (List.tl rs) else rs
     in
     th.regions <- drop th.regions;
-    match th.regions with
-    | { rg_acqs } :: _ ->
-        List.iter
-          (fun (l, claim) ->
-            let c = eng.cfg.cost.c_weak_op + charge_log_weak eng in
-            eng.stats.weak_op_ticks <-
-              eng.stats.weak_op_ticks + eng.cfg.cost.c_weak_op;
-            step c;
-            weak_acquire_one eng th l claim)
-          rg_acqs
-    | [] -> ()
+    resume_outer_region eng th
   end;
   Mem.free eng.mem blk.Mem.b_id;
   th.call_stack <- List.tl th.call_stack;
   (match eng.hooks.on_exit_fun with Some f -> f th.tid fname | None -> ());
   ret
 
-and exec_block eng th fr (b : block) : unit =
-  List.iter (exec_stmt eng th fr) b
-
-and exec_stmt eng th fr (s : stmt) : unit =
-  let cost = eng.cfg.cost in
-  (match eng.hooks.on_stmt with Some f -> f th.tid s.sid | None -> ());
-  match s.skind with
-  | Assign (lv, e) ->
-      eng.stats.n_stmts <- eng.stats.n_stmts + 1;
-      step cost.c_stmt;
-      let v = eval eng th fr ~sid:s.sid e in
-      (* separate scheduling point between the read(s) and the write: this
-         is what makes load-store races observable *)
-      step 1;
-      let p = lval_addr eng th fr ~sid:s.sid lv in
-      on_mem eng th p ~write:true ~sid:s.sid;
-      Mem.store eng.mem p v
-  | Call (ret, tgt, args) ->
-      eng.stats.n_stmts <- eng.stats.n_stmts + 1;
-      step cost.c_stmt;
-      let fname =
-        match tgt with
-        | Direct f -> f
-        | ViaPtr e -> (
-            match eval eng th fr ~sid:s.sid e with
-            | Value.VFun f -> f
-            | Value.VPtr _ | Value.VInt _ ->
-                Value.fault "indirect call through non-function value")
-      in
-      let argv = List.map (eval eng th fr ~sid:s.sid) args in
-      let v = exec_fun eng th fname argv in
-      Option.iter
-        (fun lv ->
-          let p = lval_addr eng th fr ~sid:s.sid lv in
-          on_mem eng th p ~write:true ~sid:s.sid;
-          Mem.store eng.mem p v)
-        ret
-  | Builtin (ret, b, args) ->
-      eng.stats.n_stmts <- eng.stats.n_stmts + 1;
-      exec_builtin eng th fr s ret b args
-  | If (c, b1, b2) ->
-      eng.stats.n_stmts <- eng.stats.n_stmts + 1;
-      step cost.c_stmt;
-      if Value.truthy (eval eng th fr ~sid:s.sid c) then
-        exec_block eng th fr b1
-      else exec_block eng th fr b2
-  | While (c, body, li) ->
-      eng.stats.n_stmts <- eng.stats.n_stmts + 1;
-      (match eng.hooks.on_loop_enter with
-      | Some f -> f th.tid li.lid
-      | None -> ());
-      (try
-         while
-           step cost.c_stmt;
-           Value.truthy (eval eng th fr ~sid:s.sid c)
-         do
-           (match eng.hooks.on_loop_iter with
-           | Some f -> f th.tid li.lid
-           | None -> ());
-           try exec_block eng th fr body
-           with Cnt ->
-             (* continue in a for-loop still executes the increment *)
-             Option.iter (exec_stmt eng th fr) li.l_step
-         done
-       with Brk -> ());
-      (match eng.hooks.on_loop_exit with
-      | Some f -> f th.tid li.lid
-      | None -> ())
-  | Return e ->
-      eng.stats.n_stmts <- eng.stats.n_stmts + 1;
-      step cost.c_stmt;
-      let v =
-        match e with
-        | Some e -> eval eng th fr ~sid:s.sid e
-        | None -> Value.zero
-      in
-      (* leaving the function must close any open instrumented regions
-         belonging to this frame; the instrumenter guards returns, but be
-         defensive about regions opened in this frame *)
-      raise (Return_value v)
-  | Break -> step 1; raise Brk
-  | Continue -> step 1; raise Cnt
-  | WeakEnter acqs -> weak_enter eng th fr ~sid:s.sid acqs
-  | WeakExit locks -> weak_exit eng th locks
-
-and exec_builtin eng th fr (s : stmt) ret (b : builtin) (args : exp list) :
-    unit =
-  let cost = eng.cfg.cost in
-  let sid = s.sid in
-  let store_ret v =
-    Option.iter
-      (fun lv ->
-        let p = lval_addr eng th fr ~sid lv in
-        on_mem eng th p ~write:true ~sid;
-        Mem.store eng.mem p v)
-      ret
-  in
-  let sync_key e = Mem.addr_key eng.mem (ptr_of eng th fr ~sid e) in
-  match (b, args) with
-  | Spawn, target :: rest ->
-      step cost.l_spawn;
-      let fname =
-        match eval eng th fr ~sid target with
-        | Value.VFun f -> f
-        | _ -> Value.fault "spawn of non-function"
-      in
-      let argv = List.map (eval eng th fr ~sid) rest in
-      let child_path = th.path @ [ th.spawn_seq ] in
-      th.spawn_seq <- th.spawn_seq + 1;
-      let child = new_thread eng child_path in
-      child.det_clock <- th.det_clock;
-      child.body <-
-        Some
-          (fun () ->
-            fire_sync eng child SyThreadStart;
-            ignore (exec_fun eng child fname argv));
-      fire_sync eng th (SySpawn child.tid);
-      enqueue eng child;
-      store_ret (VInt child.tid)
-  | Join, [ e ] ->
-      step cost.c_sync;
-      let target = Value.to_int (eval eng th fr ~sid e) in
-      let rec wait () =
-        match Hashtbl.find_opt eng.threads target with
-        | Some t' when t'.status <> Done ->
-            det_process_dooms_fwd eng th;
-            det_park th;
-            self_block eng th (BJoin target);
-            det_unpark th;
-            det_ensure_reacquired_fwd eng th;
-            wait ()
-        | _ -> ()
-      in
-      wait ();
-      fire_sync eng th (SyJoin target)
-  | MutexLock, [ e ] ->
-      step (cost.c_sync + charge_log_sync eng);
-      mutex_lock eng th (sync_key e)
-  | MutexUnlock, [ e ] ->
-      step (cost.c_sync + charge_log_sync eng);
-      mutex_unlock eng th (sync_key e)
-  | BarrierInit, [ e; n ] ->
-      step (cost.c_sync + charge_log_sync eng);
-      let key = sync_key e in
-      gate_sync eng th key SBarrierInit;
-      record_sync eng th key SBarrierInit;
-      Runtime.Sync.Barrier.init eng.barriers key
-        ~count:(Value.to_int (eval eng th fr ~sid n))
-  | BarrierWait, [ e ] ->
-      step (cost.c_sync + charge_log_sync eng);
-      barrier_wait eng th (sync_key e)
-  | CondWait, [ c; m ] ->
-      step (cost.c_sync + charge_log_sync eng);
-      cond_wait eng th (sync_key c) (sync_key m)
-  | CondSignal, [ c ] ->
-      step (cost.c_sync + charge_log_sync eng);
-      cond_signal eng th (sync_key c) ~broadcast:false
-  | CondBroadcast, [ c ] ->
-      step (cost.c_sync + charge_log_sync eng);
-      cond_signal eng th (sync_key c) ~broadcast:true
-  | Input, [] -> store_ret (sys_input eng th)
-  | Output, [ e ] ->
-      let v = Value.to_int (eval eng th fr ~sid e) in
-      sys_output eng th v
-  | NetRead, [ buf; maxn ] ->
-      store_ret (sys_read eng th fr ~sid ~net:true buf maxn)
-  | FileRead, [ buf; maxn ] ->
-      store_ret (sys_read eng th fr ~sid ~net:false buf maxn)
-  | Malloc, [ n ] ->
-      step cost.c_stmt;
-      let size = Value.to_int (eval eng th fr ~sid n) in
-      let origin = K.OHeap (th.path, th.alloc_seq) in
-      th.alloc_seq <- th.alloc_seq + 1;
-      let blk = Mem.alloc eng.mem origin (max 1 size) in
-      store_ret (VPtr { Value.p_block = blk.Mem.b_id; p_off = 0 })
-  | Free, [ e ] ->
-      step cost.c_stmt;
-      (match eval eng th fr ~sid e with
-      | Value.VPtr p -> Mem.free eng.mem p.Value.p_block
-      | _ -> ())
-  | Yield, [] -> step 1
-  | Exit, [ e ] ->
-      step cost.c_stmt;
-      raise (Program_exit (Value.to_int (eval eng th fr ~sid e)))
-  | _ ->
-      Value.fault "builtin %s: bad arity" (builtin_name b)
+(* A thread's whole execution: [fname] applied to [args]. A [break] or
+   [continue] outside any loop unwinds to here and faults the thread. *)
+and thread_body eng th (fname : string) (args : Value.t list) : unit =
+  try ignore (exec_fun eng th fname args)
+  with Brk | Cnt -> Value.fault "break or continue outside a loop"
 
 (* ------------------------------------------------------------------ *)
-(* Closure compilation.
+(* Closure compilation: the evaluator.
 
    Each function body is staged once, on its first call, into a tree of
-   closures with variable offsets, field offsets, element sizes, and
-   static lvalue types resolved at compile time. The compiled code
-   performs exactly the same [step] effects, memory-hook events, loads,
-   stores, and faults in exactly the same order as the interpreted
-   [exec_stmt]/[eval] above — it only skips the repeated AST dispatch
-   and the per-access string-keyed table lookups, which dominate the
-   per-statement cost of the tree walker. Any node the compiler cannot
-   resolve statically falls back to the interpreted evaluator for that
-   node, so compilation never changes observable behavior (the golden
-   tick pins and the record/replay determinism suites hold the two
-   implementations to the same trace). *)
+   closures. Variable offsets, field offsets, element sizes, static
+   lvalue types, builtin arities and each weak region's canonical lock
+   order are resolved at compile time; at run time the closures only
+   perform the program's [step] effects, hook events, loads, stores, and
+   faults. Their order is the engine's semantics, pinned by the golden
+   tick counts, record == replay, and the trace stable-stream checks.
+
+   Compilation is total: it never raises. Whatever it cannot resolve
+   statically (an unbound variable, a field of a non-struct, a builtin of
+   the wrong arity) compiles to a closure that raises [Value.Fault] when
+   execution reaches it, after evaluating the node's operands. *)
 
 and compiled_body eng (fd : fundec) : thread -> frame -> unit =
   match Hashtbl.find_opt eng.cbodies fd.f_name with
   | Some cb -> cb
   | None ->
-      let cb = compile_block eng fd fd.f_body in
+      let offsets, _ = layout_of eng fd in
+      let env = Minic.Typecheck.fun_env eng.tenv fd in
+      let cb = compile_block eng ~offsets ~env fd.f_body in
       Hashtbl.replace eng.cbodies fd.f_name cb;
       cb
 
-and compile_block eng fd (b : block) : thread -> frame -> unit =
-  match List.map (compile_stmt eng fd) b with
+and compile_block eng ~offsets ~env (b : block) : thread -> frame -> unit =
+  match List.map (compile_stmt eng ~offsets ~env) b with
   | [] -> fun _ _ -> ()
   | [ c ] -> c
   | cs -> fun th fr -> List.iter (fun c -> c th fr) cs
 
-and compile_stmt eng fd (s : stmt) : thread -> frame -> unit =
-  match compile_stmt_unsafe eng fd s with
-  | c -> c
-  | exception _ -> fun th fr -> exec_stmt eng th fr s
-
-and compile_stmt_unsafe eng fd (s : stmt) : thread -> frame -> unit =
-  let offsets, _ = layout_of eng fd in
-  let env = fun_env_of eng fd in
+and compile_stmt eng ~offsets ~env (s : stmt) : thread -> frame -> unit =
   let sid = s.sid in
   let cost = eng.cfg.cost in
   let on_stmt th =
@@ -1814,17 +1443,23 @@ and compile_stmt_unsafe eng fd (s : stmt) : thread -> frame -> unit =
         eng.stats.n_stmts <- eng.stats.n_stmts + 1;
         step cost.c_stmt;
         let v = ce th fr in
-        (* separate scheduling point between the read(s) and the write,
-           as in [exec_stmt] *)
+        (* separate scheduling point between the read(s) and the write:
+           this is what makes load-store races observable *)
         step 1;
         let p = caddr th fr in
         on_mem eng th p ~write:true ~sid;
         Mem.store eng.mem p v
   | Call (ret, tgt, args) ->
-      let ctgt =
+      let cfname =
         match tgt with
-        | Direct f -> Either.Left f
-        | ViaPtr e -> Either.Right (compile_exp eng ~offsets ~env ~sid e)
+        | Direct f -> fun _ _ -> f
+        | ViaPtr e -> (
+            let ce = compile_exp eng ~offsets ~env ~sid e in
+            fun th fr ->
+              match ce th fr with
+              | Value.VFun f -> f
+              | Value.VPtr _ | Value.VInt _ ->
+                  Value.fault "indirect call through non-function value")
       in
       let cargs = List.map (compile_exp eng ~offsets ~env ~sid) args in
       let cret =
@@ -1836,15 +1471,7 @@ and compile_stmt_unsafe eng fd (s : stmt) : thread -> frame -> unit =
         on_stmt th;
         eng.stats.n_stmts <- eng.stats.n_stmts + 1;
         step cost.c_stmt;
-        let fname =
-          match ctgt with
-          | Either.Left f -> f
-          | Either.Right ce -> (
-              match ce th fr with
-              | Value.VFun f -> f
-              | Value.VPtr _ | Value.VInt _ ->
-                  Value.fault "indirect call through non-function value")
-        in
+        let fname = cfname th fr in
         let argv = List.map (fun c -> c th fr) cargs in
         let v = exec_fun eng th fname argv in
         (match cret with
@@ -1854,14 +1481,15 @@ and compile_stmt_unsafe eng fd (s : stmt) : thread -> frame -> unit =
             Mem.store eng.mem p v
         | None -> ())
   | Builtin (ret, b, args) ->
+      let cb = compile_builtin eng ~offsets ~env ~sid ret b args in
       fun th fr ->
         on_stmt th;
         eng.stats.n_stmts <- eng.stats.n_stmts + 1;
-        exec_builtin eng th fr s ret b args
+        cb th fr
   | If (c, b1, b2) ->
       let cc = compile_exp eng ~offsets ~env ~sid c in
-      let cb1 = compile_block eng fd b1 in
-      let cb2 = compile_block eng fd b2 in
+      let cb1 = compile_block eng ~offsets ~env b1 in
+      let cb2 = compile_block eng ~offsets ~env b2 in
       fun th fr ->
         on_stmt th;
         eng.stats.n_stmts <- eng.stats.n_stmts + 1;
@@ -1869,8 +1497,8 @@ and compile_stmt_unsafe eng fd (s : stmt) : thread -> frame -> unit =
         if Value.truthy (cc th fr) then cb1 th fr else cb2 th fr
   | While (c, body, li) ->
       let cc = compile_exp eng ~offsets ~env ~sid c in
-      let cbody = compile_block eng fd body in
-      let cstep = Option.map (compile_stmt eng fd) li.l_step in
+      let cbody = compile_block eng ~offsets ~env body in
+      let cstep = Option.map (compile_stmt eng ~offsets ~env) li.l_step in
       fun th fr ->
         on_stmt th;
         eng.stats.n_stmts <- eng.stats.n_stmts + 1;
@@ -1902,33 +1530,163 @@ and compile_stmt_unsafe eng fd (s : stmt) : thread -> frame -> unit =
         step cost.c_stmt;
         let v = match ce with Some c -> c th fr | None -> Value.zero in
         raise (Return_value v)
-  | Break ->
+  | Break | Continue ->
+      let exn = if s.skind = Break then Brk else Cnt in
       fun th _fr ->
         on_stmt th;
         step 1;
-        raise Brk
-  | Continue ->
-      fun th _fr ->
-        on_stmt th;
-        step 1;
-        raise Cnt
+        raise exn
   | WeakEnter acqs ->
+      let cexp = compile_exp eng ~offsets ~env ~sid in
+      let cacqs =
+        Array.of_list
+          (List.map
+             (fun a ->
+               ( a.wa_lock,
+                 List.map
+                   (fun r -> (cexp r.wr_lo, cexp r.wr_hi, r.wr_write))
+                   a.wa_ranges ))
+             acqs)
+      in
+      (* the canonical acquisition order, as indices into [cacqs]; the
+         stable sort keeps equal locks in source order *)
+      let order =
+        List.stable_sort
+          (fun i j -> compare_weak_lock (fst cacqs.(i)) (fst cacqs.(j)))
+          (List.init (Array.length cacqs) Fun.id)
+      in
       fun th fr ->
         on_stmt th;
-        weak_enter eng th fr ~sid acqs
+        weak_enter eng th fr cacqs order
   | WeakExit locks ->
       fun th _fr ->
         on_stmt th;
         weak_exit eng th locks
 
+(* A builtin call statement, after its [on_stmt] hook and statement count.
+   Arguments evaluate in the order each builtin states; a return value is
+   stored after the builtin has run. *)
+and compile_builtin eng ~offsets ~env ~sid ret (b : builtin) (args : exp list)
+    : thread -> frame -> unit =
+  let cost = eng.cfg.cost in
+  let cret =
+    Option.map (fun lv -> fst (compile_lval eng ~offsets ~env ~sid lv)) ret
+  in
+  let store_ret th fr v =
+    match cret with
+    | Some caddr ->
+        let p = caddr th fr in
+        on_mem eng th p ~write:true ~sid;
+        Mem.store eng.mem p v
+    | None -> ()
+  in
+  let sync_key c th fr = Mem.addr_key eng.mem (ptr_of c th fr) in
+  match (b, List.map (compile_exp eng ~offsets ~env ~sid) args) with
+  | Spawn, ctarget :: crest ->
+      fun th fr ->
+        step cost.l_spawn;
+        let fname =
+          match ctarget th fr with
+          | Value.VFun f -> f
+          | _ -> Value.fault "spawn of non-function"
+        in
+        let argv = List.map (fun c -> c th fr) crest in
+        let child_path = th.path @ [ th.spawn_seq ] in
+        th.spawn_seq <- th.spawn_seq + 1;
+        let child = new_thread eng child_path in
+        child.det_clock <- th.det_clock;
+        child.body <-
+          Some
+            (fun () ->
+              fire_sync eng child SyThreadStart;
+              thread_body eng child fname argv);
+        fire_sync eng th (SySpawn child.tid);
+        enqueue eng child;
+        store_ret th fr (VInt child.tid)
+  | Join, [ c ] ->
+      fun th fr ->
+        step cost.c_sync;
+        let target = Value.to_int (c th fr) in
+        let rec wait () =
+          match Hashtbl.find_opt eng.threads target with
+          | Some t' when t'.status <> Done ->
+              det_process_dooms_fwd eng th;
+              det_park th;
+              self_block eng th (BJoin target);
+              det_unpark th;
+              det_ensure_reacquired_fwd eng th;
+              wait ()
+          | _ -> ()
+        in
+        wait ();
+        fire_sync eng th (SyJoin target)
+  | MutexLock, [ c ] ->
+      fun th fr ->
+        step (cost.c_sync + charge_log_sync eng);
+        mutex_lock eng th (sync_key c th fr)
+  | MutexUnlock, [ c ] ->
+      fun th fr ->
+        step (cost.c_sync + charge_log_sync eng);
+        mutex_unlock eng th (sync_key c th fr)
+  | BarrierInit, [ c; cn ] ->
+      fun th fr ->
+        step (cost.c_sync + charge_log_sync eng);
+        let key = sync_key c th fr in
+        gate_sync eng th key SBarrierInit;
+        record_sync eng th key SBarrierInit;
+        Runtime.Sync.Barrier.init eng.barriers key
+          ~count:(Value.to_int (cn th fr))
+  | BarrierWait, [ c ] ->
+      fun th fr ->
+        step (cost.c_sync + charge_log_sync eng);
+        barrier_wait eng th (sync_key c th fr)
+  | CondWait, [ cc; cm ] ->
+      fun th fr ->
+        step (cost.c_sync + charge_log_sync eng);
+        (* the mutex key first: the pinned evaluation order *)
+        let mkey = sync_key cm th fr in
+        cond_wait eng th (sync_key cc th fr) mkey
+  | CondSignal, [ c ] ->
+      fun th fr ->
+        step (cost.c_sync + charge_log_sync eng);
+        cond_signal eng th (sync_key c th fr) ~broadcast:false
+  | CondBroadcast, [ c ] ->
+      fun th fr ->
+        step (cost.c_sync + charge_log_sync eng);
+        cond_signal eng th (sync_key c th fr) ~broadcast:true
+  | Input, [] -> fun th fr -> store_ret th fr (sys_input eng th)
+  | Output, [ c ] ->
+      fun th fr ->
+        let v = Value.to_int (c th fr) in
+        sys_output eng th v
+  | NetRead, [ cbuf; cmax ] ->
+      fun th fr -> store_ret th fr (sys_read eng th fr ~sid ~net:true cbuf cmax)
+  | FileRead, [ cbuf; cmax ] ->
+      fun th fr ->
+        store_ret th fr (sys_read eng th fr ~sid ~net:false cbuf cmax)
+  | Malloc, [ c ] ->
+      fun th fr ->
+        step cost.c_stmt;
+        let size = Value.to_int (c th fr) in
+        let origin = K.OHeap (th.path, th.alloc_seq) in
+        th.alloc_seq <- th.alloc_seq + 1;
+        let blk = Mem.alloc eng.mem origin (max 1 size) in
+        store_ret th fr (VPtr { Value.p_block = blk.Mem.b_id; p_off = 0 })
+  | Free, [ c ] ->
+      fun th fr ->
+        step cost.c_stmt;
+        (match c th fr with
+        | Value.VPtr p -> Mem.free eng.mem p.Value.p_block
+        | _ -> ())
+  | Yield, [] -> fun _ _ -> step 1
+  | Exit, [ c ] ->
+      fun th fr ->
+        step cost.c_stmt;
+        raise (Program_exit (Value.to_int (c th fr)))
+  | _ -> fun _ _ -> Value.fault "builtin %s: bad arity" (builtin_name b)
+
 and compile_exp eng ~offsets ~env ~sid (e : exp) : thread -> frame -> Value.t
     =
-  match compile_exp_unsafe eng ~offsets ~env ~sid e with
-  | c -> c
-  | exception _ -> fun th fr -> eval eng th fr ~sid e
-
-and compile_exp_unsafe eng ~offsets ~env ~sid (e : exp) :
-    thread -> frame -> Value.t =
   match e with
   | Const n ->
       let v = Value.VInt n in
@@ -1999,40 +1757,39 @@ and compile_exp_unsafe eng ~offsets ~env ~sid (e : exp) :
       let ca = compile_exp eng ~offsets ~env ~sid a in
       let cb = compile_exp eng ~offsets ~env ~sid b in
       (* the operator is matched once here; each specialized closure
-         keeps the interpreted [binop]'s value-shape dispatch (pointer
-         arithmetic / comparisons first, then the int case, then the
-         ill-typed fault) and its right-to-left argument order *)
-      let general op' = fun th fr -> binop eng op' (ca th fr) (cb th fr) in
+         keeps [binop]'s value-shape dispatch (pointer arithmetic /
+         comparisons first, then the int case, then the ill-typed fault)
+         and its right-to-left argument order *)
       let int_cmp cmp =
         fun th fr ->
           match binop_args (ca th fr) (cb th fr) with
           | Value.VInt x, Value.VInt y ->
               Value.VInt (if cmp x y then 1 else 0)
-          | va, vb -> binop eng op va vb
+          | va, vb -> binop op va vb
       in
       match op with
       | Add ->
           fun th fr -> (
             match binop_args (ca th fr) (cb th fr) with
             | Value.VInt x, Value.VInt y -> Value.VInt (x + y)
-            | va, vb -> binop eng Add va vb)
+            | va, vb -> binop Add va vb)
       | Sub ->
           fun th fr -> (
             match binop_args (ca th fr) (cb th fr) with
             | Value.VInt x, Value.VInt y -> Value.VInt (x - y)
-            | va, vb -> binop eng Sub va vb)
+            | va, vb -> binop Sub va vb)
       | Mul ->
           fun th fr -> (
             match binop_args (ca th fr) (cb th fr) with
             | Value.VInt x, Value.VInt y -> Value.VInt (x * y)
-            | va, vb -> binop eng Mul va vb)
+            | va, vb -> binop Mul va vb)
       | Lt -> int_cmp ( < )
       | Le -> int_cmp ( <= )
       | Gt -> int_cmp ( > )
       | Ge -> int_cmp ( >= )
       | Eq -> int_cmp ( = )
       | Ne -> int_cmp ( <> )
-      | op -> general op)
+      | op -> fun th fr -> binop op (ca th fr) (cb th fr))
 
 and compile_lval eng ~offsets ~env ~sid (lv : lval) :
     (thread -> frame -> Value.ptr) * ty =
@@ -2053,25 +1810,24 @@ and compile_lval eng ~offsets ~env ~sid (lv : lval) :
               ((fun _ _ -> p), ty)
           | None ->
               ((fun _ _ -> Value.fault "unbound variable %s" v), Tint)))
-  | Deref e ->
+  | Deref e -> (
       let ce = compile_exp eng ~offsets ~env ~sid e in
-      let ty =
-        match Minic.Typecheck.type_of_exp env e with
-        | Tptr t | Tarray (t, _) -> t
-        | _ -> Tint (* int treated as address of int cells; loose *)
-      in
-      ( (fun th fr ->
-          match ce th fr with
-          | Value.VPtr p -> p
-          | v -> Value.fault "dereference of non-pointer %a" Value.pp v),
-        ty )
-  | Index (base, idx) ->
+      match static (fun () -> Minic.Typecheck.type_of_exp env e) with
+      | Ok ety ->
+          ( (fun th fr ->
+              match ce th fr with
+              | Value.VPtr p -> p
+              | v -> Value.fault "dereference of non-pointer %a" Value.pp v),
+            match ety with
+            | Tptr t | Tarray (t, _) -> t
+            | _ -> Tint (* int treated as address of int cells; loose *) )
+      | Error m -> (faulting m ce, Tint))
+  | Index (base, idx) -> (
       let cbase, bty = compile_lval eng ~offsets ~env ~sid base in
       let cidx = compile_exp eng ~offsets ~env ~sid idx in
       let ety =
         match bty with Tptr t -> t | Tarray (t, _) -> t | t -> t
       in
-      let es = Layout.sizeof eng.layout ety in
       let celem =
         (* indexing through a pointer variable loads the pointer first *)
         match bty with
@@ -2084,36 +1840,47 @@ and compile_lval eng ~offsets ~env ~sid (lv : lval) :
               | v -> Value.fault "indexing non-pointer %a" Value.pp v)
         | _ -> cbase
       in
-      ( (fun th fr ->
-          let q = celem th fr in
-          let i = Value.to_int (cidx th fr) in
-          { q with p_off = q.p_off + (i * es) }),
-        ety )
-  | Field (base, f) ->
+      match static (fun () -> Layout.sizeof eng.layout ety) with
+      | Ok es ->
+          ( (fun th fr ->
+              let q = celem th fr in
+              let i = Value.to_int (cidx th fr) in
+              { q with p_off = q.p_off + (i * es) }),
+            ety )
+      | Error m ->
+          ( faulting m (fun th fr ->
+                ignore (celem th fr);
+                cidx th fr),
+            Tint ))
+  | Field (base, f) -> (
       let cbase, bty = compile_lval eng ~offsets ~env ~sid base in
-      let sname =
-        match bty with
-        | Tstruct s -> s
-        | t -> Value.fault "field access on %a" Minic.Ast.pp_ty t
-      in
-      let off, fty = Layout.field_offset eng.layout sname f in
-      ( (fun th fr ->
-          let p = cbase th fr in
-          { p with p_off = p.p_off + off }),
-        fty )
-  | Arrow (e, f) ->
+      match
+        static (fun () ->
+            match bty with
+            | Tstruct s -> Layout.field_offset eng.layout s f
+            | t -> Value.fault "field access on %a" Minic.Ast.pp_ty t)
+      with
+      | Ok (off, fty) ->
+          ( (fun th fr ->
+              let p = cbase th fr in
+              { p with p_off = p.p_off + off }),
+            fty )
+      | Error m -> (faulting m cbase, Tint))
+  | Arrow (e, f) -> (
       let ce = compile_exp eng ~offsets ~env ~sid e in
-      let sname =
-        match Minic.Typecheck.type_of_exp env e with
-        | Tptr (Tstruct s) -> s
-        | t -> Value.fault "-> on %a" Minic.Ast.pp_ty t
-      in
-      let off, fty = Layout.field_offset eng.layout sname f in
-      ( (fun th fr ->
-          match ce th fr with
-          | Value.VPtr p -> { p with p_off = p.p_off + off }
-          | v -> Value.fault "-> on non-pointer %a" Value.pp v),
-        fty )
+      match
+        static (fun () ->
+            match Minic.Typecheck.type_of_exp env e with
+            | Tptr (Tstruct s) -> Layout.field_offset eng.layout s f
+            | t -> Value.fault "-> on %a" Minic.Ast.pp_ty t)
+      with
+      | Ok (off, fty) ->
+          ( (fun th fr ->
+              match ce th fr with
+              | Value.VPtr p -> { p with p_off = p.p_off + off }
+              | v -> Value.fault "-> on non-pointer %a" Value.pp v),
+            fty )
+      | Error m -> (faulting m ce, Tint))
 
 (* ------------------------------------------------------------------ *)
 (* Thread lifecycle *)
@@ -2186,13 +1953,12 @@ let start_thread eng (th : thread) (body : unit -> unit) =
         (fun e ->
           (match e with
           | Program_exit code -> eng.exit_code <- Some code
-          | Value.Fault msg -> th.fault <- Some msg
-          | Stuck msg -> th.fault <- Some msg
-          (* a corrupt log pulled mid-replay (a streamed segment failing
-             its checksum) is the caller's typed error, not a thread
-             fault: re-raise out of the scheduler *)
-          | Replay.Log.Corrupt _ -> raise e
-          | e -> th.fault <- Some (Printexc.to_string e));
+          | Value.Fault msg | Stuck msg -> th.fault <- Some msg
+          (* anything else is not the program's outcome: a corrupt log
+             pulled mid-replay (a streamed segment failing its checksum)
+             is the caller's typed error, and any other exception is an
+             engine or hook bug. Both propagate out of [run]. *)
+          | e -> raise e);
           finish_thread eng th);
       effc =
         (fun (type a) (eff : a Effect.t) ->
@@ -2353,20 +2119,13 @@ let maintenance eng =
               if my_turn lock then
                 match WL.acquire eng.weak lock ~tid:th.tid ~claim with
                 | `Acquired ->
-                    trace eng "%a reacq %a" K.pp_tid_path th.path
-                      pp_weak_lock lock;
                     record_weak eng th lock ~claim:(stable_claim eng claim);
                     fire_sync eng th (SyWeakAcq lock);
                     if det_mode eng then
                       th.det_immune <- lock :: th.det_immune;
                     set_reacquire eng th rest;
                     go ()
-                | `Blocked owners ->
-                    trace eng "%a reacq-blocked %a holders=%a claim=%a"
-                      K.pp_tid_path th.path pp_weak_lock lock
-                      Fmt.(list ~sep:comma int) owners
-                      Fmt.(list ~sep:comma Runtime.Weaklock.pp_range) claim
-              else trace eng "%a reacq-not-my-turn %a" K.pp_tid_path th.path pp_weak_lock lock
+                | `Blocked _ -> ()
         in
         go ();
         if th.reacquire = [] then begin
@@ -2470,8 +2229,6 @@ let check_weak_timeouts eng =
                    else
                      match WL.acquire eng.weak lock ~tid:th.tid ~claim with
                      | `Acquired ->
-                         trace eng "%a timeout-reacq %a" K.pp_tid_path th.path
-                           pp_weak_lock lock;
                          record_weak eng th lock
                            ~claim:(stable_claim eng claim);
                          fire_sync eng th (SyWeakAcq lock);
@@ -2763,9 +2520,7 @@ let make_engine ?(config = default_config) ?(hooks = no_hooks ()) ?sink
       main_done = false;
       prio = Hashtbl.create 16;
       pct_floor = 0;
-      fenvs = Hashtbl.create 64;
       flayouts = Hashtbl.create 64;
-      sid_sort_perm = Hashtbl.create 64;
       cbodies = Hashtbl.create 64;
       (* wheel slot width = the strategy's sweep quantum (storm sweeps at
          a 32-tick mask, default/pct at 256), so one slot covers exactly
@@ -2811,7 +2566,7 @@ let run_engine (eng : t) : outcome =
   (match eng.phases with Some p -> Phases.start p | None -> ());
   (* main thread *)
   let main = new_thread eng [] in
-  main.body <- Some (fun () -> ignore (exec_fun eng main "main" []));
+  main.body <- Some (fun () -> thread_body eng main "main" []);
   enqueue eng main;
   let timed_out = ref false in
   (* consecutive idle fast-forwards where the wake-up resolved nothing;
@@ -2819,6 +2574,9 @@ let run_engine (eng : t) : outcome =
      forced release per timeout deadline, so a single fruitless round is
      not yet a deadlock *)
   let stuck_rounds = ref 0 in
+  (* ends the scheduling loop; private, so that an [Exit] escaping a
+     thread propagates like any other exception *)
+  let exception Halt in
   (try
      while
        eng.live > 0 && eng.exit_code = None && not eng.main_done
@@ -2827,7 +2585,7 @@ let run_engine (eng : t) : outcome =
        eng.ticks <- eng.ticks + 1;
        if eng.ticks >= eng.cfg.max_ticks then begin
          timed_out := true;
-         raise Exit
+         raise Halt
        end;
        if eng.ticks land 15 = 0 then begin
          let t0 = ph_now eng in
@@ -2915,7 +2673,7 @@ let run_engine (eng : t) : outcome =
                incr stuck_rounds;
                if !stuck_rounds > 8 * (eng.live + 1) then begin
                  timed_out := true;
-                 raise Exit
+                 raise Halt
                end
              end
              else stuck_rounds := 0
@@ -2943,13 +2701,13 @@ let run_engine (eng : t) : outcome =
              maintenance eng;
              if Array.for_all (fun q -> !q = []) eng.queues then begin
                if not (replay_halted eng) then timed_out := true;
-               raise Exit
+               raise Halt
              end
            end
          end
        end
      done
-   with Exit -> ());
+   with Halt -> ());
   let paths_steps =
     List.rev_map
       (fun tid ->

@@ -423,6 +423,85 @@ let test_weak_timeout_breaks_deadlock () =
     o.o_timed_out;
   Alcotest.(check (list int)) "result" [ 2 ] (outputs o)
 
+(* An exception from a hook is not a program fault: it escapes [run]
+   instead of being recorded as the faulting thread's outcome. [Exit]
+   included, which must not pass for the scheduler's own stop. *)
+let test_hook_exception_propagates () =
+  let p = parse {|int main() { output(1); return 0; }|} in
+  List.iter
+    (fun exn ->
+      let hooks = Interp.Engine.no_hooks () in
+      hooks.on_stmt <- Some (fun _ _ -> raise exn);
+      let io = Interp.Iomodel.random ~seed:1 in
+      Alcotest.check_raises "hook exception escapes run" exn (fun () ->
+          ignore (Interp.Engine.run ~hooks ~mode:Interp.Engine.Native ~io p)))
+    [ Not_found; Exit ]
+
+(* Program errors the compiler or the frame layout cannot resolve, in
+   programs that skipped [Typecheck], are [Value.Fault]s of the thread
+   that reaches them: everything before runs, nothing escapes [run]. An
+   ill-typed statement in an untaken branch never faults. *)
+let test_program_errors_fault_when_reached () =
+  let case name src ~outputs:expected ~fault =
+    let p = Minic.Parser.parse src in
+    let io = Interp.Iomodel.random ~seed:1 in
+    let o = Interp.Engine.run ~mode:Interp.Engine.Native ~io p in
+    Alcotest.(check (list int)) (name ^ ": ran up to the fault") expected
+      (outputs o);
+    match o.o_faults with
+    | [ ([], m) ] ->
+        Alcotest.(check bool)
+          (Fmt.str "%s: fault %S" name m)
+          true
+          (String.starts_with ~prefix:fault m)
+    | _ -> Alcotest.failf "%s: expected one fault, in the main thread" name
+  in
+  case "field of an int" ~outputs:[ 1 ] ~fault:"field access on"
+    {|int x;
+      int main() {
+        output(1);
+        if (x) { x.f = 5; }
+        x.f = 2;
+        output(3);
+        return 0;
+      }|};
+  case "break outside a loop" ~outputs:[ 1 ] ~fault:"break or continue"
+    {|int main() { output(1); break; output(2); return 0; }|};
+  case "local of an unknown struct" ~outputs:[] ~fault:"sizeof: unknown struct"
+    {|int main() { struct nosuch s; output(1); return 0; }|}
+
+(* A region listing its locks out of canonical order still acquires them
+   in canonical order (granularity rank, then id). *)
+let test_weak_enter_canonical_order () =
+  let p = parse {|int x; int main() { x = 1; output(x); return 0; }|} in
+  let wl wl_gran wl_id = { Minic.Ast.wl_id; wl_gran } in
+  let listed = [ wl Gbb 5; wl Gbb 2; wl Gfunc 7; wl Gloop 1 ] in
+  let canonical = List.sort Minic.Ast.compare_weak_lock listed in
+  Alcotest.(check bool) "listed out of order" false (listed = canonical);
+  Minic.Ast.Fresh.reset_from p;
+  let wrap (fd : Minic.Ast.fundec) =
+    let acqs = List.map (fun l -> { Minic.Ast.wa_lock = l; wa_ranges = [] }) listed in
+    {
+      fd with
+      f_body =
+        Minic.Ast.Fresh.stmt (WeakEnter acqs)
+        :: fd.f_body
+        @ [ Minic.Ast.Fresh.stmt (WeakExit listed) ];
+    }
+  in
+  let p = { p with p_funs = List.map wrap p.p_funs } in
+  let sink = Trace.Sink.create () in
+  let io = Interp.Iomodel.random ~seed:1 in
+  ignore (Interp.Engine.run ~sink ~mode:Interp.Engine.Native ~io p);
+  let acquired =
+    List.filter_map
+      (fun e ->
+        match e.Trace.ev_kind with Trace.Weak_acquire l -> Some l | _ -> None)
+      (Trace.Sink.events sink)
+  in
+  Alcotest.(check (list (testable Minic.Ast.pp_weak_lock ( = ))))
+    "acquired in canonical order" canonical acquired
+
 let suite =
   [
     Alcotest.test_case "arith" `Quick test_arith;
@@ -451,4 +530,10 @@ let suite =
     Alcotest.test_case "io latency overlap" `Quick test_io_latency_overlap;
     Alcotest.test_case "weak timeout breaks deadlock" `Quick
       test_weak_timeout_breaks_deadlock;
+    Alcotest.test_case "hook exception propagates" `Quick
+      test_hook_exception_propagates;
+    Alcotest.test_case "program errors fault when reached" `Quick
+      test_program_errors_fault_when_reached;
+    Alcotest.test_case "weak enter canonical order" `Quick
+      test_weak_enter_canonical_order;
   ]
