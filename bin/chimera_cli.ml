@@ -808,44 +808,12 @@ let bench_cmd =
    fault-injection contract violations) *)
 let stress_issue_exit = 2
 
-(** Parse a golden-counters table (the [test/golden] snapshot format):
-    whitespace-separated columns, benchmark name first, tick count last;
-    lines whose last field is not an integer (the header) are skipped. *)
-let parse_golden path =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun line ->
-      match
-        List.filter (fun s -> s <> "") (String.split_on_char ' ' line)
-      with
-      | name :: (_ :: _ as rest) -> (
-          match int_of_string_opt (List.nth rest (List.length rest - 1)) with
-          | Some ticks -> Hashtbl.replace tbl name ticks
-          | None -> ())
-      | _ -> ())
-    (String.split_on_char '\n' (read_file path));
-  tbl
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let stress_json (rp : Chimera.Stress.report)
     (fault : Chimera.Stress.fault_report option) : string =
   let b = Buffer.create 1024 in
   let strings xs =
     String.concat ", "
-      (List.map (fun s -> Fmt.str "\"%s\"" (json_escape s)) xs)
+      (List.map (fun s -> Fmt.str "\"%s\"" (Bjson.escape s)) xs)
   in
   Buffer.add_string b
     (Fmt.str
@@ -895,8 +863,8 @@ let stress_cmd =
             Fmt.epr "chimera: corrupt replay log: %s@." msg;
             exit corrupt_log_exit
         | _ -> Fmt.pr "logs %s.*.log: decode OK@." prefix));
-    let golden_tbl =
-      match golden with Some p -> parse_golden p | None -> Hashtbl.create 1
+    let golden_rows =
+      match golden with Some p -> Chimera.Stress.golden_ticks p | None -> []
     in
     (* the built-in trio is a default, not an addition: naming benches or
        sources explicitly replaces it *)
@@ -930,7 +898,7 @@ let stress_cmd =
                 (if raw then an.an_prog else an.an_instrumented);
               sp_io = b.b_io ~seed:42 ~scale:b.b_eval_scale;
               sp_golden_ticks =
-                (if raw then None else Hashtbl.find_opt golden_tbl name);
+                (if raw then None else List.assoc_opt name golden_rows);
             },
             ( name,
               (Refine.Corpus.Kbench, None, 42, Refine.plan_digest an.an_plan)

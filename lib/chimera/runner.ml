@@ -71,16 +71,16 @@ let record_segmented ?(config = Engine.default_config) ?hooks ?sink ~io ~dir
   in
   let seals = ref 0 in
   let flush ~log ~first_tick ~last_tick ~events =
-    (* the snapshot is taken at the seal instant, so the pinned digest is
-       exactly the engine state every replay must pass through when it
-       drains this segment *)
-    let snapshot =
+    (* the digest is taken at the seal instant: a function of the seed,
+       inputs and seal point only, so every re-recording pins the same
+       digest here *)
+    let checkpoint =
       if checkpoint_every > 0 && !seals mod checkpoint_every = 0 then
-        Some (Engine.state_digest eng, Engine.snapshot_bytes eng)
+        Some (Engine.state_digest eng)
       else None
     in
     incr seals;
-    Replay.Seglog.append w ?snapshot ~first_tick ~last_tick ~events log
+    Replay.Seglog.append w ?checkpoint ~first_tick ~last_tick ~events log
   in
   Replay.Recorder.set_spill rc ~events_per_segment ~flush;
   let outcome = Engine.run_engine eng in

@@ -71,8 +71,9 @@ type seg_recorded = {
     compressed and checksummed — to [dir] (see {!Replay.Seglog}), so the
     resident log never exceeds one segment
     ({!Replay.Seglog.writer_stats.ws_peak_raw}). Every
-    [checkpoint_every]-th seal also pins an engine checkpoint (state
-    digest + marshalled snapshot); [checkpoint_every = 0] disables
+    [checkpoint_every]-th seal also pins a checkpoint: the engine state
+    digest at the seal, stored in the manifest, which re-recordings of
+    the same seed and inputs reproduce; [checkpoint_every = 0] disables
     checkpoints. Spilling charges no simulated ticks and seal points
     depend only on the recorded event counts, so the execution — ticks,
     outputs, golden counters — is identical to a monolithic recording. *)
@@ -103,8 +104,10 @@ type streamed_replay = {
     windowed: it streams from tick 0 but halts cleanly once the last
     segment covering that tick has drained, never reading the later
     segment files. A windowed replay's halt digest equals the full
-    replay's digest at the same segment drain, and equals the recorder's
-    pinned checkpoint digest for that seal.
+    replay's digest at the same segment drain under the same seed. It
+    is not the recorder's checkpoint digest for that seal: the replay
+    runs under its own seed, so its ticks, rng and step counts at the
+    drain differ from the recording's.
     @raise Replay.Log.Corrupt on any manifest / segment corruption. *)
 val replay_streamed :
   ?config:Engine.config ->

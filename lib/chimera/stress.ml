@@ -88,6 +88,18 @@ let log_digest (log : Replay.Log.t) : string =
     seed 1, matching the golden-counters generator. *)
 let golden_seed = 1
 
+(** [(name, ticks)] rows of a golden-counters table: name is the first
+    column, ticks the last; the header row has no integer there. *)
+let golden_ticks path : (string * int) list =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun line ->
+         let cols = List.filter (( <> ) "") (String.split_on_char ' ' line) in
+         match (cols, List.rev cols) with
+         | name :: _ :: _, ticks :: _ ->
+             Option.map (fun t -> (name, t)) (int_of_string_opt ticks)
+         | _ -> None)
+
 let job_config ~cores (j : job) : Engine.config =
   {
     Engine.default_config with

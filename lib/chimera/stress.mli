@@ -65,6 +65,13 @@ val golden_seed : int
 (** The seed of the matrix cell [sp_golden_ticks] pins (1, matching the
     golden-counters generator). *)
 
+val golden_ticks : string -> (string * int) list
+(** [golden_ticks path]: the [(benchmark, record ticks)] rows of a
+    golden-counters table such as [test/golden/golden_counters.expected]
+    (space-separated columns, name first, ticks last; the header row is
+    skipped), in file order.
+    @raise Sys_error when [path] cannot be read. *)
+
 val run_matrix :
   ?pool:Par.Pool.t ->
   ?cores:int ->

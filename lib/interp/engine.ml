@@ -2378,67 +2378,18 @@ let tick_core eng c =
       end
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoints: the marshallable slice of engine state.
-
-   Effect continuations ([thread.resume]) cannot be marshalled, so a
-   checkpoint is not a resumable image — it is a {e pin}: the digest of
-   everything deterministic about the execution at a seal point
-   (memory, outputs, per-thread progress, scheduler rng). Two runs that
-   agree on every pinned digest took the same execution through those
-   points; re-recording determinism and windowed-vs-full replay
-   equivalence are both checked against these digests. The snapshot
-   bytes additionally carry the full memory image for offline
-   inspection. *)
-
-type snapshot = {
-  sn_ticks : int;
-  sn_rng : int;
-  sn_live : int;
-  sn_outputs : (K.tid_path * int) list;  (** oldest first *)
-  sn_mem_hash : int;
-  sn_blocks : (int * K.origin * Value.t array * bool) list;
-      (** (id, origin, cells, freed), live blocks in id order *)
-  sn_threads : (K.tid_path * int * int * int) list;
-      (** (path, steps, weak_acqs, status code 0=runnable 1=done
-          2=blocked), spawn order *)
-}
+(* Checkpoints: a digest pin of the engine state *)
 
 let status_code = function Runnable -> 0 | Done -> 1 | Blocked _ -> 2
 
-let make_snapshot (eng : t) : snapshot =
-  let blocks = ref [] in
-  for i = Array.length eng.mem.Mem.blocks - 1 downto 0 do
-    match eng.mem.Mem.blocks.(i) with
-    | Some b ->
-        blocks :=
-          (b.Mem.b_id, b.Mem.b_origin, Array.copy b.Mem.cells, b.Mem.b_freed)
-          :: !blocks
-    | None -> ()
-  done;
-  let threads =
-    List.rev_map
-      (fun tid ->
-        let th = Hashtbl.find eng.threads tid in
-        (th.path, th.steps, th.weak_acqs, status_code th.status))
-      eng.thread_order
-  in
-  {
-    sn_ticks = eng.ticks;
-    sn_rng = eng.rng;
-    sn_live = eng.live;
-    sn_outputs = List.rev eng.outputs;
-    sn_mem_hash = Mem.state_hash eng.mem;
-    sn_blocks = !blocks;
-    sn_threads = threads;
-  }
-
-let snapshot_bytes (eng : t) : string =
-  Marshal.to_string (make_snapshot eng) []
-
-(** Deterministic hex digest of the engine's pinned state. Comparable
-    only between runs at the same logical point: seal-time digests pin
-    re-recording determinism; replay-side digests captured at a segment
-    drain pin windowed replay against full streamed replay. *)
+(** Deterministic hex digest of everything deterministic about the
+    execution so far: memory, ticks, rng, outputs, per-thread progress.
+    Comparable only between runs at the same logical point under the
+    same seed. The segmented recorder pins the seal-time digest in the
+    manifest, and re-recordings must reproduce it. A replay runs under
+    its own seed, so its digest at a segment drain differs from the
+    recorder's; it is compared only with other replays of the same log
+    (a windowed replay against the full one). *)
 let state_digest (eng : t) : string =
   let b = Buffer.create 512 in
   Buffer.add_string b

@@ -3,8 +3,9 @@
     Mirrors RELAY's use of pointer analysis (Section 6.2 of the paper):
     Andersen's inclusion-based analysis resolves function pointers (with
     an on-the-fly fixpoint: resolving targets can add constraints that
-    reveal more targets), and both Andersen and Steensgaard answer object
-    and aliasing queries. Queries used downstream:
+    reveal more targets) and answers the object and aliasing queries.
+    ({!Steensgaard} stays as the coarser reference Andersen is tested
+    against.) Queries used downstream:
 
     - {!lval_objects}: the abstract objects an lvalue access may touch —
       RELAY's overestimated shared-object sets;
@@ -16,18 +17,9 @@
 open Minic.Ast
 module A = Absloc
 
-type solver = Use_andersen | Use_steensgaard
+type t = { prog : program; tenv : Minic.Typecheck.env; andersen : Andersen.t }
 
-type t = {
-  prog : program;
-  tenv : Minic.Typecheck.env;
-  andersen : Andersen.t;
-  steensgaard : Steensgaard.t;
-  solver : solver;
-}
-
-let rec run ?(solver = Use_andersen) ?(rounds = 4) (p : program) : t =
-  ignore rounds;
+let rec run (p : program) : t =
   let tenv = Minic.Typecheck.env_of_program p in
   (* round 0: syntactic resolution *)
   let resolve0 _ e =
@@ -38,7 +30,7 @@ let rec run ?(solver = Use_andersen) ?(rounds = 4) (p : program) : t =
   let constraints = Constr.gen ~resolve:resolve0 p in
   let andersen = Andersen.solve constraints in
   (* refinement rounds: use current solution to resolve pointers *)
-  let fixpoint = ref { prog = p; tenv; andersen; steensgaard = Steensgaard.solve constraints; solver } in
+  let fixpoint = ref { prog = p; tenv; andersen } in
   let changed = ref true in
   let round = ref 0 in
   while !changed && !round < 4 do
@@ -62,25 +54,14 @@ let rec run ?(solver = Use_andersen) ?(rounds = 4) (p : program) : t =
       |> List.sort_uniq compare
     in
     if funs_of andersen' <> funs_of cur.andersen then changed := true;
-    fixpoint :=
-      {
-        prog = p;
-        tenv;
-        andersen = andersen';
-        steensgaard = Steensgaard.solve constraints';
-        solver;
-      }
+    fixpoint := { prog = p; tenv; andersen = andersen' }
   done;
   !fixpoint
 
-(** Points-to set of an abstract location under the selected solver,
-    restricted to memory locations and functions. *)
+(** Andersen points-to set of an abstract location, restricted to
+    memory locations and functions. *)
 and points_to (t : t) (l : A.t) : A.Set.t =
-  let s =
-    match t.solver with
-    | Use_andersen -> Andersen.points_to t.andersen l
-    | Use_steensgaard -> Steensgaard.points_to t.steensgaard l
-  in
+  let s = Andersen.points_to t.andersen l in
   A.Set.filter (fun l -> A.is_memory l || match l with A.AFun _ -> true | _ -> false) s
 
 and var_loc (t : t) (fname : string) (v : string) : A.t =

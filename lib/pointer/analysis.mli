@@ -1,24 +1,20 @@
 (** Combined pointer-analysis driver and query interface, mirroring
     RELAY's use of pointer analysis (paper Section 6.2): Andersen
-    resolves function pointers with an on-the-fly fixpoint; both solvers
-    answer object and aliasing queries. *)
-
-type solver = Use_andersen | Use_steensgaard
+    resolves function pointers with an on-the-fly fixpoint and answers
+    the object and aliasing queries. *)
 
 type t = {
   prog : Minic.Ast.program;
   tenv : Minic.Typecheck.env;
   andersen : Andersen.t;
-  steensgaard : Steensgaard.t;
-  solver : solver;
 }
 
 (** Run the analysis, iterating constraint generation and function-pointer
-    resolution to a fixpoint (bounded rounds). *)
-val run : ?solver:solver -> ?rounds:int -> Minic.Ast.program -> t
+    resolution to a fixpoint (at most 4 refinement rounds). *)
+val run : Minic.Ast.program -> t
 
-(** Points-to set under the selected solver, restricted to memory
-    locations and functions. *)
+(** Andersen points-to set, restricted to memory locations and
+    functions. *)
 val points_to : t -> Absloc.t -> Absloc.Set.t
 
 (** The abstract location of variable [v] as seen from function

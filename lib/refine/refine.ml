@@ -29,20 +29,6 @@ let write_file path s =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc s)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let gran_name g = Fmt.str "%a" Minic.Ast.pp_granularity g
 
 let gran_of_name = function
@@ -95,11 +81,11 @@ module Corpus = struct
              "\n    {\n      \"name\": \"%s\",\n      \"kind\": \"%s\",\n      \
               \"source\": %s,\n      \"io_seed\": %d,\n      \"cores\": %d,\n      \
               \"plan_digest\": \"%s\",\n      \"recordings\": ["
-             (json_escape e.ce_name)
+             (Bjson.escape e.ce_name)
              (match e.ce_kind with Kbench -> "bench" | Ksrc -> "src")
              (match e.ce_source with
              | None -> "null"
-             | Some s -> Fmt.str "\"%s\"" (json_escape s))
+             | Some s -> Fmt.str "\"%s\"" (Bjson.escape s))
              e.ce_io_seed e.ce_cores e.ce_plan_digest);
         List.iteri
           (fun j r ->
@@ -110,8 +96,8 @@ module Corpus = struct
                   \"%s\", \"ticks\": %d, \"input\": \"%s\", \"order\": \"%s\"}"
                  r.cr_seed
                  (Engine.strategy_name r.cr_strategy)
-                 r.cr_digest r.cr_ticks (json_escape r.cr_input)
-                 (json_escape r.cr_order)))
+                 r.cr_digest r.cr_ticks (Bjson.escape r.cr_input)
+                 (Bjson.escape r.cr_order)))
           e.ce_recordings;
         Buffer.add_string b "\n      ]\n    }")
       t.co_entries;
@@ -673,7 +659,7 @@ let deployment_json (d : deployment) : string =
     (Fmt.str
        "{\n  \"schema\": \"%s\",\n  \"program\": \"%s\",\n  \"plan_digest\": \
         \"%s\",\n  \"min_coverage\": %d,\n  \"dropped\": ["
-       deployment_schema (json_escape d.dp_program) d.dp_plan_digest
+       deployment_schema (Bjson.escape d.dp_program) d.dp_plan_digest
        d.dp_min_coverage);
   List.iteri
     (fun i (l : Minic.Ast.weak_lock) ->

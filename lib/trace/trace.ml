@@ -280,20 +280,6 @@ let pp_report ?(top = 10) ppf su =
 (* ------------------------------------------------------------------ *)
 (* Chrome-trace export *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_chrome events =
   let b = Buffer.create 4096 in
   Buffer.add_string b "[";
@@ -309,7 +295,7 @@ let to_chrome events =
       fields;
     Buffer.add_string b "}"
   in
-  let str s = Fmt.str "\"%s\"" (json_escape s) in
+  let str s = Fmt.str "\"%s\"" (Bjson.escape s) in
   (* assign each thread a numeric chrome tid by tid_path order *)
   let tps =
     List.sort_uniq compare (List.map (fun e -> e.ev_tp) events)

@@ -12,27 +12,6 @@ let golden_file = ref "test/golden/golden_counters.expected"
 
 let json_file = ref "/tmp/chimera-sched.json"
 
-(* "bench ... ticks" rows of the golden snapshot: name is the first
-   column, the tick pin the last *)
-let golden_ticks () : (string * int) list =
-  let ic = open_in !golden_file in
-  let rows = ref [] in
-  (try
-     while true do
-       let cols =
-         String.split_on_char ' ' (input_line ic)
-         |> List.filter (fun s -> s <> "")
-       in
-       match (cols, List.rev cols) with
-       | name :: _, ticks :: _ -> (
-           match int_of_string_opt ticks with
-           | Some t -> rows := (name, t) :: !rows
-           | None -> () (* the header row *))
-       | _ -> ()
-     done
-   with End_of_file -> close_in ic);
-  List.rev !rows
-
 type bench_result = {
   br_name : string;
   br_strategies : (string * string) list;
@@ -145,7 +124,7 @@ let () =
         exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
-  let golden = golden_ticks () in
+  let golden = Chimera.Stress.golden_ticks !golden_file in
   if golden = [] then begin
     Fmt.epr "sched_check: no golden rows in %s@." !golden_file;
     exit 2

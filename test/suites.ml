@@ -16,6 +16,7 @@ let all : (string * unit Alcotest.test_case list) list =
     ("runtime", Test_runtime.suite);
     ("replay-log", Test_replay_log.suite);
     ("trace", Test_trace.suite);
+    ("bjson", Test_bjson.suite);
     ("zcompress", Test_zcompress.suite);
     ("interp", Test_interp.suite);
     ("sched", Test_sched.suite);

@@ -8,7 +8,7 @@ module Aset = Pointer.Absloc.Set
 
 let parse src = Minic.Typecheck.parse_and_check ~file:"test.mc" src
 
-let run ?solver src = Pointer.Analysis.run ?solver (parse src)
+let run src = Pointer.Analysis.run (parse src)
 
 let names set = List.map A.to_string (Aset.elements set) |> List.sort compare
 

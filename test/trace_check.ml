@@ -6,8 +6,8 @@
       stable event streams (the determinism pin, on two programs);
     - tracing is free: a traced record matches an untraced one tick for
       tick, log byte for log byte;
-    - the Chrome-trace export parses as well-formed JSON (checked with a
-      small recursive-descent parser, no JSON library involved);
+    - the Chrome-trace export parses as well-formed JSON (checked with
+      the strict {!Bjson} reader);
     - byte-corrupted logs raise [Replay.Log.Corrupt] — never a raw
       string-primitive exception;
     - the replay-divergence diagnostic pinpoints a concrete first
@@ -23,138 +23,6 @@ let check what ok =
     incr failures;
     Fmt.pr "  FAIL: %s@." what
   end
-
-(* ------------------------------------------------------------------ *)
-(* a minimal JSON well-formedness parser (objects, arrays, strings,
-   numbers, literals — enough to validate the Chrome-trace export) *)
-
-exception Bad_json of string
-
-let validate_json (s : string) : unit =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Bad_json (Fmt.str "%s at byte %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Fmt.str "expected %c" c)
-  in
-  let literal lit =
-    String.iter expect lit
-  in
-  let string_lit () =
-    expect '"';
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') -> advance ()
-          | Some 'u' ->
-              advance ();
-              for _ = 1 to 4 do
-                match peek () with
-                | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-                | _ -> fail "bad \\u escape"
-              done
-          | _ -> fail "bad escape");
-          go ()
-      | Some c when Char.code c < 0x20 -> fail "raw control char in string"
-      | Some _ ->
-          advance ();
-          go ()
-    in
-    go ()
-  in
-  let number () =
-    (match peek () with Some '-' -> advance () | _ -> ());
-    let digits () =
-      let saw = ref false in
-      let rec go () =
-        match peek () with
-        | Some '0' .. '9' ->
-            saw := true;
-            advance ();
-            go ()
-        | _ -> ()
-      in
-      go ();
-      if not !saw then fail "expected digit"
-    in
-    digits ();
-    (match peek () with
-    | Some '.' ->
-        advance ();
-        digits ()
-    | _ -> ());
-    match peek () with
-    | Some ('e' | 'E') ->
-        advance ();
-        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-        digits ()
-    | _ -> ()
-  in
-  let rec value () =
-    skip_ws ();
-    (match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then advance ()
-        else
-          let rec members () =
-            skip_ws ();
-            string_lit ();
-            skip_ws ();
-            expect ':';
-            value ();
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ()
-            | Some '}' -> advance ()
-            | _ -> fail "expected , or }"
-          in
-          members ()
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then advance ()
-        else
-          let rec elements () =
-            value ();
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements ()
-            | Some ']' -> advance ()
-            | _ -> fail "expected , or ]"
-          in
-          elements ()
-    | Some '"' -> string_lit ()
-    | Some 't' -> literal "true"
-    | Some 'f' -> literal "false"
-    | Some 'n' -> literal "null"
-    | Some ('-' | '0' .. '9') -> number ()
-    | _ -> fail "expected a value");
-    skip_ws ()
-  in
-  value ();
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage"
 
 (* ------------------------------------------------------------------ *)
 
@@ -223,9 +91,9 @@ let check_pin name (an : Chimera.Pipeline.analysis) ~io =
        = Replay.Log.encode_input_log r.rc_log);
   (* export *)
   let chrome = Trace.to_chrome recorded in
-  (match validate_json chrome with
-  | () -> check "chrome export is well-formed JSON" true
-  | exception Bad_json msg ->
+  (match Bjson.parse chrome with
+  | _ -> check "chrome export is well-formed JSON" true
+  | exception Bjson.Bad msg ->
       check (Fmt.str "chrome export is well-formed JSON (%s)" msg) false);
   (* and the text report renders *)
   let su =
