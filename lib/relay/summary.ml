@@ -12,7 +12,7 @@
     Soundness choices (Section 3 of the paper):
     - locksets must {e under}-approximate: a [lock(e)] whose argument does
       not resolve to a single must-alias object acquires nothing;
-    - object sets {e over}-approximate via Andersen/Steensgaard points-to;
+    - object sets {e over}-approximate via Andersen points-to;
     - non-mutex synchronization (fork/join, barriers, condition variables)
       contributes no happens-before — deliberately, as in RELAY; this is
       the paper's first source of false positives, later recovered by
