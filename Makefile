@@ -69,12 +69,10 @@ bench-regress:
 		--min-warm-speedup $(WARMX) --max-sched-share $(SCHEDSHARE) \
 		bench/wall_baseline.json /tmp/chimera-wall-fresh.json
 
-# scheduler gate: record every benchmark with the wheel-vs-sweep
-# cross-check oracle enabled (each sweep and fast-forward recomputes the
-# retired full-table scans and fails on any disagreement), pin the
-# default-strategy ticks to the golden counters, and require record ==
-# replay under all three schedule strategies. JSON report lands in
-# /tmp/chimera-sched.json.
+# scheduler gate: record every benchmark under all three schedule
+# strategies, pin the default-strategy ticks to the golden counters, and
+# require record == replay under each strategy. JSON report (parsed back
+# by the gate) lands in /tmp/chimera-sched.json.
 sched-check:
 	dune build test/sched_check.exe
 	./_build/default/test/sched_check.exe \

@@ -557,8 +557,8 @@ let rows_of_json (j : Bjson.t) : cmp_row list =
     milliseconds cold), or when the fresh run carries record-phase
     attribution whose aggregate scheduler share — scheduler bookkeeping
     plus weak-lock admission over attributed record total — exceeds
-    [max_sched_share] (default 0.35: the event-wheel keeps scheduler
-    bookkeeping a minority of record time; judged in aggregate because
+    [max_sched_share] (default 0.35: the counter-gated scans keep
+    scheduler bookkeeping a minority of record time; judged in aggregate because
     the smallest benches record in milliseconds). Improvements are
     reported but never fail. *)
 let compare ?(min_warm_speedup = 10.) ?(max_sched_share = 0.35) ~baseline

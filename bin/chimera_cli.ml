@@ -387,8 +387,7 @@ let segment_dir_arg ~doc =
 
 let record_cmd =
   let run file seed cores io_seed strategy seeds profile_runs opts no_lockopt
-      jobs no_cache cache_dir out trace_out refine segment_dir segment_events
-      checkpoint_every =
+      jobs no_cache cache_dir out trace_out refine segment_dir segment_events =
     let an =
       analyze_file ~opts ~profile_runs ~no_lockopt ~jobs ~no_cache ~cache_dir
         file
@@ -410,8 +409,7 @@ let record_cmd =
     let record_seg_one ?sink ~dir s =
       let sr =
         Chimera.Runner.record_segmented ~config:(config_of ~strategy s cores)
-          ?sink ~io ~dir ~events_per_segment:segment_events ~checkpoint_every
-          prog
+          ?sink ~io ~dir ~events_per_segment:segment_events prog
       in
       let st = sr.Chimera.Runner.sr_stats in
       Fmt.epr
@@ -471,14 +469,6 @@ let record_cmd =
             "With --segment-dir: gated events per sealed segment (the \
              resident-log-memory bound)")
   in
-  let checkpoint_every_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "checkpoint-every" ]
-          ~doc:
-            "With --segment-dir: pin an engine checkpoint every K-th seal \
-             (0 disables checkpoints)")
-  in
   Cmd.v (Cmd.info "record" ~doc:"Instrument and record an execution")
     Term.(
       const run $ file_arg $ seed_arg $ cores_arg $ io_seed_arg
@@ -490,7 +480,7 @@ let record_cmd =
             "Record with a segmented, spilling log: seal, compress, \
              checksum and spill bounded segments to this directory instead \
              of one monolithic log pair"
-      $ segment_events_arg $ checkpoint_every_arg)
+      $ segment_events_arg)
 
 (* exit code for a log that fails to decode (distinct from cmdliner's
    reserved 123-125 range and from program exit codes) *)

@@ -306,13 +306,7 @@ type t = {
       (** per-function staged bodies: each body is closure-compiled on
           its first call, with variable offsets, field offsets, element
           sizes, and static types resolved once instead of per access *)
-  w_weak : Wheel.t;
-      (** deadline wheel over [Blocked (BWeak _ | BReacq)] threads:
-          each entry expires at [blocked_since + timeout + 1] (see
-          [weak_deadline]); slot width = the strategy's sweep quantum *)
-  w_io : Wheel.t;
-      (** deadline wheel over [Blocked (BIO t)] threads (wake tick [t]);
-          slot width = the 16-tick maintenance period *)
+  mutable n_bio : int;  (** threads currently [Blocked (BIO _)] *)
   mutable n_bturn : int;  (** threads currently [Blocked (BTurn _)] *)
   mutable n_breacq : int;  (** threads currently [Blocked BReacq] *)
   mutable n_reacq : int;  (** threads with a nonempty [reacquire] list *)
@@ -360,64 +354,29 @@ let weak_sweep_mask eng =
   match eng.cfg.strategy with Sstorm -> 31 | Sdefault | Spct -> 255
 
 (* ------------------------------------------------------------------ *)
-(* Scheduler wake index.
+(* Scheduler population counters.
 
-   Every status change goes through [set_status] so the deadline wheels
-   and the blocked-population counters stay an exact mirror of the
-   thread table: [w_weak] holds precisely the [BWeak]/[BReacq] threads
-   (keyed by their timeout deadline), [w_io] precisely the [BIO]
-   threads. The wheels replace only order-INSENSITIVE scans — minimum
-   searches (timeout victim, idle fast-forward next-wake) and emptiness
-   gates. Every pass whose [Hashtbl.iter] order feeds wake order (and
-   through [enqueue] the golden tick counts) is kept textually intact
-   and merely skipped when the index proves it a no-op. *)
+   Every status change goes through [set_status] so the blocked-population
+   counters stay an exact mirror of the thread table. They only GATE the
+   order-sensitive maintenance passes — a pass whose [Hashtbl.iter] order
+   feeds wake order (and through [enqueue] the golden tick counts) is
+   skipped when its population is empty, and never reordered. The
+   timeout victim and the idle next-wake are plain table scans
+   ([sweep_victim], [next_wake]). *)
 
-(* cross-check mode (CHIMERA_SCHED_CHECK=1): recompute every wheel
-   answer with the retired full-table scan and fail on any mismatch.
-   Lazy so a harness can putenv before the first engine runs. *)
-let sched_check_enabled =
-  lazy
-    (match Sys.getenv_opt "CHIMERA_SCHED_CHECK" with
-    | Some ("1" | "true") -> true
-    | _ -> false)
-
-(** The tick at which a [BWeak]/[BReacq] stall becomes preemptible:
-    [blocked_since + timeout] is the last tick of grace ([due] is a
-    strict [>] comparison), so the deadline proper is one past it. *)
-let weak_deadline eng (th : thread) =
-  th.blocked_since + effective_weak_timeout eng + 1
-
-let sched_deindex eng (th : thread) =
+let sched_count eng (th : thread) d =
   match th.status with
-  | Blocked BReacq ->
-      Wheel.cancel eng.w_weak ~tid:th.tid;
-      eng.n_breacq <- eng.n_breacq - 1
-  | Blocked (BWeak _) -> Wheel.cancel eng.w_weak ~tid:th.tid
-  | Blocked (BIO _) -> Wheel.cancel eng.w_io ~tid:th.tid
-  | Blocked (BTurn _) -> eng.n_bturn <- eng.n_bturn - 1
-  | Runnable | Done | Blocked (BMutex _ | BBarrier _ | BCond _ | BJoin _) -> ()
-
-let sched_index eng (th : thread) =
-  match th.status with
-  | Blocked BReacq ->
-      Wheel.add eng.w_weak ~tid:th.tid ~deadline:(weak_deadline eng th);
-      eng.n_breacq <- eng.n_breacq + 1
-  | Blocked (BWeak _) ->
-      Wheel.add eng.w_weak ~tid:th.tid ~deadline:(weak_deadline eng th)
-  | Blocked (BIO t) -> Wheel.add eng.w_io ~tid:th.tid ~deadline:t
-  | Blocked (BTurn _) -> eng.n_bturn <- eng.n_bturn + 1
-  | Runnable | Done | Blocked (BMutex _ | BBarrier _ | BCond _ | BJoin _) -> ()
+  | Blocked BReacq -> eng.n_breacq <- eng.n_breacq + d
+  | Blocked (BIO _) -> eng.n_bio <- eng.n_bio + d
+  | Blocked (BTurn _) -> eng.n_bturn <- eng.n_bturn + d
+  | Runnable | Done
+  | Blocked (BWeak _ | BMutex _ | BBarrier _ | BCond _ | BJoin _) ->
+      ()
 
 let set_status eng (th : thread) (st : status) =
-  sched_deindex eng th;
+  sched_count eng th (-1);
   th.status <- st;
-  sched_index eng th
-
-(** [blocked_since] moved while the thread stayed blocked (a timeout
-    sweep restarting its clock): recompute the wheel deadline. *)
-let resched eng (th : thread) =
-  sched_deindex eng th;
-  sched_index eng th
+  sched_count eng th 1
 
 let set_reacquire eng (th : thread) v =
   (match (th.reacquire, v) with
@@ -747,8 +706,6 @@ let wake_tid eng tid =
   | None -> ()
 
 let self_block eng (th : thread) (reason : block_reason) =
-  (* [blocked_since] lands before the status so [sched_index] reads the
-     final deadline *)
   th.blocked_since <- eng.ticks;
   set_status eng th (Blocked reason);
   block_here ()
@@ -1274,7 +1231,7 @@ let sys_read eng th fr ~sid ~(net : bool) cbuf cmax : Value.t =
      global-minimum rule, so its return must not race the clock). *)
   (if eng.replayer = None && not (det_mode eng) then begin
      (* [blocked_since] deliberately untouched: IO parks never fed the
-        weak-timeout clock, and the wheel must mirror that *)
+        weak-timeout clock *)
      set_status eng th (Blocked (BIO (eng.ticks + latency)));
      block_here ()
    end);
@@ -2011,16 +1968,13 @@ let resume_thread eng (th : thread) =
 
    Each pass iterates the thread table in [Hashtbl.iter] order, and that
    order is load-bearing: wake order feeds [enqueue]'s shortest-queue
-   choice and hence the golden tick counts. The wake index therefore
-   only GATES the passes — a pass is skipped exactly when it can be
-   proved a no-op (no due IO deadline on the wheel, no parked turn
-   waiter, no pending reacquisition, no forced event left in the log) —
-   and never reorders them. *)
+   choice and hence the golden tick counts. The population counters
+   therefore only GATE the passes — a pass is skipped exactly when it can
+   be proved a no-op (no IO park, no parked turn waiter, no pending
+   reacquisition, no forced event left in the log) — and never reorder
+   them. *)
 let maintenance eng =
-  if
-    Wheel.next_deadline eng.w_io <= eng.ticks
-    || eng.n_bturn > 0 || eng.n_breacq > 0
-  then
+  if eng.n_bio > 0 || eng.n_bturn > 0 || eng.n_breacq > 0 then
     Hashtbl.iter
       (fun _ (th : thread) ->
         match th.status with
@@ -2135,8 +2089,8 @@ let maintenance eng =
       end)
     eng.threads
 
-(* The retired full-table victim scan, kept as the cross-check oracle
-   (CHIMERA_SCHED_CHECK=1) for the wheel-driven selection below. *)
+(* The longest-stalled expired [BWeak]/[BReacq] waiter, lowest tid on
+   ties; [None] when no stall has outlived the timeout. *)
 let sweep_victim eng : thread option =
   Hashtbl.fold
     (fun _ (th : thread) acc ->
@@ -2169,31 +2123,8 @@ let check_weak_timeouts eng =
        symmetrically and swap their sets forever — a timeout-sustained
        livelock. Serving only the longest-stalled waiter breaks the
        symmetry; the loser's clock keeps running and it gets the next
-       pass.
-
-       The wheel orders its entries by (deadline, tid) with deadline =
-       blocked_since + timeout + 1 — a constant offset per run — so its
-       due minimum IS the fold's (blocked_since, tid) minimum, and
-       "due" (deadline <= ticks) is exactly the fold's strict
-       ticks - blocked_since > timeout. *)
-    let victim =
-      match Wheel.min_due eng.w_weak ~now:eng.ticks with
-      | Some (tid, _) -> Hashtbl.find_opt eng.threads tid
-      | None -> None
-    in
-    (if Lazy.force sched_check_enabled then
-       match (sweep_victim eng, victim) with
-       | Some a, Some b when a == b -> ()
-       | None, None -> ()
-       | a, b ->
-           Fmt.failwith
-             "sched-check: wheel victim %a <> sweep victim %a at tick %d"
-             Fmt.(option ~none:(any "none") int)
-             (Option.map (fun (th : thread) -> th.tid) b)
-             Fmt.(option ~none:(any "none") int)
-             (Option.map (fun (th : thread) -> th.tid) a)
-             eng.ticks);
-    match victim with
+       pass. *)
+    match sweep_victim eng with
     | None -> ()
     | Some th -> (
         match th.status with
@@ -2239,10 +2170,7 @@ let check_weak_timeouts eng =
               set_status eng th Runnable;
               enqueue eng th
             end
-            else begin
-              th.blocked_since <- eng.ticks;
-              resched eng th
-            end
+            else th.blocked_since <- eng.ticks
         | Blocked (BWeak (lock, _claim)) ->
             let owners = WL.holders eng.weak lock in
             (* no holders at all: the waiter is fenced out purely by a
@@ -2273,8 +2201,7 @@ let check_weak_timeouts eng =
                       | Done -> ())
                   | None -> ())
               owners;
-            th.blocked_since <- eng.ticks (* restart the clock *);
-            resched eng th
+            th.blocked_since <- eng.ticks (* restart the clock *)
         | _ -> ())
   end
 
@@ -2473,15 +2400,7 @@ let make_engine ?(config = default_config) ?(hooks = no_hooks ()) ?sink
       pct_floor = 0;
       flayouts = Hashtbl.create 64;
       cbodies = Hashtbl.create 64;
-      (* wheel slot width = the strategy's sweep quantum (storm sweeps at
-         a 32-tick mask, default/pct at 256), so one slot covers exactly
-         one sweep window *)
-      w_weak =
-        Wheel.create
-          ~gran_bits:(match config.strategy with Sstorm -> 5 | _ -> 8)
-          ();
-      (* IO wakes are polled by the 16-tick maintenance pass *)
-      w_io = Wheel.create ~gran_bits:4 ();
+      n_bio = 0;
       n_bturn = 0;
       n_breacq = 0;
       n_reacq = 0;
@@ -2543,28 +2462,14 @@ let run_engine (eng : t) : outcome =
          maintenance eng;
          ph_add eng Phases.Scheduler t0
        end;
-       (* The sweep stays gated to the masked tick — it serves one victim
-          per window, and firing off-boundary would move every later
-          preemption — but the per-window poll is now O(1): the wheel's
-          quantized next-fire tick instead of a full-table scan. At a
-          masked tick, next_fire <= ticks iff the earliest deadline is
-          due, i.e. iff the retired scan would have found a victim. *)
-       let wsm = weak_sweep_mask eng in
-       if eng.ticks land wsm = 0 then
-         if Wheel.next_fire eng.w_weak ~mask:wsm <= eng.ticks then begin
-           let t0 = ph_now eng in
-           check_weak_timeouts eng;
-           ph_add eng Phases.Weaklock t0
-         end
-         else if
-           Lazy.force sched_check_enabled
-           && eng.replayer = None
-           && not (det_mode eng)
-           && sweep_victim eng <> None
-         then
-           Fmt.failwith
-             "sched-check: wheel skipped a sweep with a due victim at tick %d"
-             eng.ticks;
+       (* the sweep is gated to the masked tick: it serves one victim per
+          window, and firing off-boundary would move every later
+          preemption *)
+       if eng.ticks land weak_sweep_mask eng = 0 then begin
+         let t0 = ph_now eng in
+         check_weak_timeouts eng;
+         ph_add eng Phases.Weaklock t0
+       end;
        (* rotate the starting core each tick to vary cross-core order *)
        let start = rng_next eng mod eng.cfg.cores in
        for i = 0 to eng.cfg.cores - 1 do
@@ -2580,34 +2485,23 @@ let run_engine (eng : t) : outcome =
          if Array.for_all (fun q -> !q = []) eng.queues then begin
            (* all blocked: jump to the next wake-up — an IO completion or
               a weak-lock timeout deadline (the escape hatch that resolves
-              weak-lock-vs-program-sync deadlocks, Section 2.3). The two
-              wheels index exactly the BIO and BWeak/BReacq populations
-              with those unquantized deadlines, so their min replaces the
-              whole-table scan. *)
+              weak-lock-vs-program-sync deadlocks, Section 2.3) *)
            let next_wake =
-             min (Wheel.next_deadline eng.w_io) (Wheel.next_deadline eng.w_weak)
-           in
-           if Lazy.force sched_check_enabled then begin
-             (* oracle: the retired scan, kept verbatim *)
-             let scan_wake = ref max_int in
-             Hashtbl.iter
-               (fun _ (th : thread) ->
-                 match th.status with
-                 | Blocked (BIO t) -> if t < !scan_wake then scan_wake := t
-                 | Blocked (BWeak _ | BReacq) ->
-                     (* both resolve through the weak-lock timeout *)
-                     let deadline =
+             Hashtbl.fold
+               (fun _ (th : thread) acc ->
+                 let wake_at =
+                   match th.status with
+                   | Blocked (BIO t) -> t
+                   | Blocked (BWeak _ | BReacq) ->
+                       (* both resolve through the weak-lock timeout;
+                          [blocked_since + timeout] is the last tick of
+                          grace *)
                        th.blocked_since + effective_weak_timeout eng + 1
-                     in
-                     if deadline < !scan_wake then scan_wake := deadline
-                 | _ -> ())
-               eng.threads;
-             if !scan_wake <> next_wake then
-               Fmt.failwith
-                 "sched-check: wheel next-wake %d <> scan next-wake %d at \
-                  tick %d"
-                 next_wake !scan_wake eng.ticks
-           end;
+                   | _ -> max_int
+                 in
+                 if wake_at < acc then wake_at else acc)
+               eng.threads max_int
+           in
            ph_add eng Phases.Scheduler t0;
            if next_wake < max_int then begin
              if next_wake > eng.ticks then eng.ticks <- next_wake;

@@ -48,6 +48,9 @@ let segment_file idx = Fmt.str "seg-%04d.seg" idx
 let checkpoint_file idx = Fmt.str "ckpt-%04d.bin" idx
 let manifest_file = "manifest"
 
+(* the next manifest is written here and renamed over [manifest_file] *)
+let manifest_tmp = manifest_file ^ ".tmp"
+
 (* ------------------------------------------------------------------ *)
 (* Small file helpers (stdlib only; no Unix dependency) *)
 
@@ -169,13 +172,14 @@ let create_writer ~dir : writer =
   mkdir_p dir;
   (* a fresh recording owns the directory: stale segments from a longer
      previous recording must not shadow the new manifest, and its
-     checkpoint files ([checkpoint_file]) go too *)
+     checkpoint files ([checkpoint_file]) and any half-written
+     [manifest_tmp] go too *)
   Array.iter
     (fun f ->
       if
         Filename.check_suffix f ".seg"
         || Filename.check_suffix f ".bin"
-        || f = manifest_file
+        || f = manifest_file || f = manifest_tmp
       then try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
     (try Sys.readdir dir with Sys_error _ -> [||]);
   {
@@ -191,9 +195,9 @@ let manifest_of_writer w =
   { mf_segments = Log.oldest_first w.w_segments }
 
 let flush_manifest w =
-  write_file
-    (Filename.concat w.w_dir manifest_file)
-    (manifest_string (manifest_of_writer w))
+  let tmp = Filename.concat w.w_dir manifest_tmp in
+  write_file tmp (manifest_string (manifest_of_writer w));
+  Sys.rename tmp (Filename.concat w.w_dir manifest_file)
 
 let append (w : writer) ?checkpoint ~first_tick ~last_tick ~events
     (log : Log.t) =
@@ -238,8 +242,9 @@ let append (w : writer) ?checkpoint ~first_tick ~last_tick ~events
       ws_total_raw = st.ws_total_raw + raw;
       ws_total_z = st.ws_total_z + String.length z_i + String.length z_o;
     };
-  (* rewrite the manifest at every seal so a crashed recording still
-     leaves a readable prefix *)
+  (* replace the manifest at every seal, by rename: a crash at any point
+     leaves the previous seal's manifest or this one, each whole and
+     naming only segments already on disk — a readable prefix *)
   flush_manifest w
 
 let close_writer (w : writer) : manifest =

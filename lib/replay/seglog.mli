@@ -55,8 +55,8 @@ type writer
 val create_writer : dir:string -> writer
 
 (** Seal one segment: encode, compress, checksum, write
-    [seg-NNNN.seg], and rewrite the manifest (so a crashed recording
-    leaves a readable prefix). [checkpoint], when given, is the engine
+    [seg-NNNN.seg], and replace the manifest by a rename (so a crashed
+    recording leaves a whole manifest naming a readable prefix). [checkpoint], when given, is the engine
     state digest at the seal, pinned in the manifest entry and written
     to [checkpoint_file]. *)
 val append :

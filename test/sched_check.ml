@@ -1,12 +1,9 @@
-(** The scheduler gate (`make sched-check`): run every benchmark's
-    record through the engine with the wheel-vs-sweep cross-check oracle
-    enabled ([CHIMERA_SCHED_CHECK=1]: each weak-timeout sweep recomputes
-    the retired full-table victim scan and the idle fast-forward
-    recomputes the retired next-wake scan, failing on any disagreement),
-    pin the default-strategy tick counts to the committed golden
-    counters, and verify record==replay under every schedule strategy —
-    pct and storm exercise the denser storm wheel granularity. Emits a
-    JSON report (for the CI artifact) and exits nonzero on any failure. *)
+(** The scheduler gate (`make sched-check`): record every benchmark under
+    every schedule strategy, pin the default-strategy tick counts to the
+    committed golden counters, and verify record==replay — pct and storm
+    exercise the denser weak-timeout sweep and the forced releases it
+    fires. Emits a JSON report (for the CI artifact), parses it back, and
+    exits nonzero on any failure. *)
 
 let golden_file = ref "test/golden/golden_counters.expected"
 
@@ -15,9 +12,9 @@ let json_file = ref "/tmp/chimera-sched.json"
 type bench_result = {
   br_name : string;
   br_strategies : (string * string) list;
-      (* per strategy: "ok" (record==replay), "timeout" (oracle-validated
-         record that deadlocked — a pre-existing workload property),
-         "diverged", or "oracle-failed" *)
+      (* per strategy: "ok" (record==replay), "timeout" (a record or
+         replay that deadlocked — a pre-existing workload property),
+         "diverged", or "raised" (the engine raised an exception) *)
   br_ticks : int;  (* default-strategy record ticks *)
   br_golden : int option;
   br_error : string option;
@@ -45,10 +42,8 @@ let check_bench (b : Bench_progs.Registry.bench) golden : bench_result =
             if strategy = Interp.Engine.Sdefault then
               ticks := r.Chimera.Runner.rc_outcome.o_ticks;
             if r.Chimera.Runner.rc_outcome.o_timed_out then
-              (* an adversarial-schedule deadlock at record time: the
-                 oracle still validated every wheel decision through the
-                 whole run, but a timed-out run has no meaningful replay
-                 to diff *)
+              (* an adversarial-schedule deadlock at record time: a
+                 timed-out run has no meaningful replay to diff *)
               "timeout"
             else begin
               let rp =
@@ -58,9 +53,7 @@ let check_bench (b : Bench_progs.Registry.bench) golden : bench_result =
               in
               if rp.Interp.Engine.o_timed_out then
                 (* pre-existing at the seed: radix's storm recording
-                   replays into a stall on every engine version (the
-                   retired-scan scheduler does the same, tick for tick);
-                   the oracle validated both runs' wheel decisions *)
+                   replays into a stall on every engine version *)
                 "timeout"
               else
                 match
@@ -76,9 +69,8 @@ let check_bench (b : Bench_progs.Registry.bench) golden : bench_result =
                     "diverged"
             end
           with e ->
-            (* a cross-check Failure lands here with the tick context *)
             error := Some (Printexc.to_string e);
-            "oracle-failed"
+            "raised"
         in
         (Interp.Engine.strategy_name strategy, ok))
       Interp.Engine.all_strategies
@@ -105,12 +97,10 @@ let result_json (r : bench_result) : string =
        (List.map (fun (s, st) -> Fmt.str {|"%s": "%s"|} s st) r.br_strategies))
     (result_ok r)
     (match r.br_error with
-    | Some e -> Fmt.str {|, "error": "%s"|} (String.escaped e)
+    | Some e -> Fmt.str {|, "error": "%s"|} (Bjson.escape e)
     | None -> "")
 
 let () =
-  (* before any engine runs: the oracle flag is read lazily on first use *)
-  Unix.putenv "CHIMERA_SCHED_CHECK" "1";
   let rec parse = function
     | [] -> ()
     | "--golden" :: f :: rest ->
@@ -129,7 +119,7 @@ let () =
     Fmt.epr "sched_check: no golden rows in %s@." !golden_file;
     exit 2
   end;
-  Fmt.pr "sched-check: wheel-vs-sweep oracle on, %d benchmarks@."
+  Fmt.pr "sched-check: %d benchmarks@."
     (List.length Bench_progs.Registry.all);
   let results =
     List.map
@@ -148,7 +138,7 @@ let () =
   let failed = List.filter (fun r -> not (result_ok r)) results in
   let doc =
     Fmt.str
-      {|{"schema": "chimera-sched-check/1", "oracle": "CHIMERA_SCHED_CHECK",
+      {|{"schema": "chimera-sched-check/2",
  "benches": [
 %s
  ],
@@ -161,10 +151,15 @@ let () =
   output_string oc doc;
   close_out oc;
   Fmt.pr "sched-check: report in %s@." !json_file;
+  (match Bjson.parse doc with
+  | exception Bjson.Bad m ->
+      Fmt.epr "FAIL: report JSON does not parse (%s)@." m;
+      exit 1
+  | _ -> ());
   if failed <> [] then begin
-    Fmt.epr "FAIL: %d benchmark(s) diverged from the retired scan or the \
-             golden ticks@."
+    Fmt.epr "FAIL: %d benchmark(s) failed record==replay or the golden \
+             ticks@."
       (List.length failed);
     exit 1
   end;
-  Fmt.pr "sched-check: all benchmarks byte-identical under the oracle@."
+  Fmt.pr "sched-check: all benchmarks pass@."

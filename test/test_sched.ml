@@ -1,168 +1,9 @@
-(** Scheduler event-wheel: directed unit tests of the wheel's contract
-    (register / cancel / pop-min, sweep-boundary quantization, the
-    [max_int] empty sentinel), a qcheck equivalence property pinning the
-    wheel's firing decisions to the reference scan it replaced, and
-    per-strategy record==replay pins on contended generated programs —
-    the default strategy shares the golden-counter pin with the rest of
-    the suite; pct and storm exercise the denser sweep granularity. *)
+(** Scheduler: per-strategy record==replay pins on contended generated
+    programs — the default strategy shares the golden-counter pin with
+    the rest of the suite; pct and storm exercise the denser weak-timeout
+    sweep and the forced releases it fires. *)
 
 open Interp
-
-let check = Alcotest.(check bool)
-
-let checki = Alcotest.(check int)
-
-(* ---- directed wheel units ---- *)
-
-let test_register_pop () =
-  let w = Wheel.create ~gran_bits:8 () in
-  checki "empty size" 0 (Wheel.size w);
-  checki "empty sentinel" max_int (Wheel.next_deadline w);
-  check "empty min_due" true (Wheel.min_due w ~now:max_int = None);
-  Wheel.add w ~tid:3 ~deadline:500;
-  Wheel.add w ~tid:1 ~deadline:700;
-  Wheel.add w ~tid:2 ~deadline:300;
-  checki "size 3" 3 (Wheel.size w);
-  checki "min deadline" 300 (Wheel.next_deadline w);
-  check "nothing due yet" true (Wheel.min_due w ~now:299 = None);
-  check "earliest due" true (Wheel.min_due w ~now:300 = Some (2, 300));
-  check "still the minimum when all due" true
-    (Wheel.min_due w ~now:10_000 = Some (2, 300))
-
-let test_tie_breaks_on_tid () =
-  let w = Wheel.create ~gran_bits:8 () in
-  Wheel.add w ~tid:9 ~deadline:400;
-  Wheel.add w ~tid:4 ~deadline:400;
-  Wheel.add w ~tid:7 ~deadline:400;
-  (* equal deadlines: the old sweep picked the lowest tid *)
-  check "lowest tid wins the tie" true (Wheel.min_due w ~now:400 = Some (4, 400))
-
-let test_cancel_and_replace () =
-  let w = Wheel.create ~gran_bits:8 () in
-  Wheel.add w ~tid:1 ~deadline:100;
-  Wheel.add w ~tid:2 ~deadline:200;
-  Wheel.cancel w ~tid:1;
-  checki "cancel shrinks" 1 (Wheel.size w);
-  checki "min moves past the cancelled entry" 200 (Wheel.next_deadline w);
-  Wheel.cancel w ~tid:1;
-  checki "double cancel is a no-op" 1 (Wheel.size w);
-  (* re-add replaces: one registration per tid *)
-  Wheel.add w ~tid:2 ~deadline:50;
-  checki "re-add keeps size" 1 (Wheel.size w);
-  checki "re-add moves the min" 50 (Wheel.next_deadline w);
-  check "deadline_of sees the replacement" true
-    (Wheel.deadline_of w ~tid:2 = Some 50);
-  (* a stale same-deadline twin must not survive the skim *)
-  Wheel.add w ~tid:2 ~deadline:50;
-  Wheel.cancel w ~tid:2;
-  checki "empty after cancel" 0 (Wheel.size w);
-  checki "sentinel restored" max_int (Wheel.next_deadline w)
-
-let test_quantization_boundaries () =
-  let w = Wheel.create ~gran_bits:8 () in
-  let mask = 255 in
-  checki "empty never fires" max_int (Wheel.next_fire w ~mask);
-  (* a masked-tick sweep observes deadline d at the next multiple of
-     mask+1 at or after d *)
-  List.iter
-    (fun (d, expect) ->
-      Wheel.add w ~tid:1 ~deadline:d;
-      checki (Fmt.str "deadline %d fires at %d" d expect) expect
-        (Wheel.next_fire w ~mask);
-      Wheel.cancel w ~tid:1)
-    [ (1, 256); (255, 256); (256, 256); (257, 512); (512, 512); (513, 768) ];
-  (* storm granularity: 32-tick windows *)
-  let ws = Wheel.create ~gran_bits:5 () in
-  Wheel.add ws ~tid:1 ~deadline:33;
-  checki "storm window" 64 (Wheel.next_fire ws ~mask:31)
-
-let test_max_int_sentinel () =
-  let w = Wheel.create ~gran_bits:8 () in
-  (* quantizing a deadline near max_int must not wrap negative *)
-  Wheel.add w ~tid:1 ~deadline:(max_int - 10);
-  checki "overflow guard" max_int (Wheel.next_fire w ~mask:255);
-  checki "deadline itself survives" (max_int - 10) (Wheel.next_deadline w)
-
-(* ---- wheel == sweep equivalence, qcheck ---- *)
-
-(* An operation script against both the wheel and a reference
-   association-list model of the retired scan. *)
-type op = Add of int * int | Cancel of int | Probe of int
-
-let arbitrary_ops : op list QCheck.arbitrary =
-  let open QCheck.Gen in
-  let tid = int_range 0 15 in
-  let deadline = int_range 0 2000 in
-  let op =
-    frequency
-      [
-        (4, map2 (fun t d -> Add (t, d)) tid deadline);
-        (2, map (fun t -> Cancel t) tid);
-        (3, map (fun now -> Probe now) (int_range 0 2500));
-      ]
-  in
-  QCheck.make
-    ~print:(fun ops ->
-      String.concat "; "
-        (List.map
-           (function
-             | Add (t, d) -> Fmt.str "add %d@%d" t d
-             | Cancel t -> Fmt.str "cancel %d" t
-             | Probe n -> Fmt.str "probe %d" n)
-           ops))
-    (list_size (int_range 1 60) op)
-
-let prop_wheel_eq_sweep =
-  QCheck.Test.make
-    ~name:"sched: wheel firing decisions == reference sweep" ~count:300
-    arbitrary_ops (fun ops ->
-      let w = Wheel.create ~gran_bits:5 () in
-      let model : (int, int) Hashtbl.t = Hashtbl.create 16 in
-      let mask = 31 in
-      List.for_all
-        (function
-          | Add (t, d) ->
-              Wheel.add w ~tid:t ~deadline:d;
-              Hashtbl.replace model t d;
-              true
-          | Cancel t ->
-              Wheel.cancel w ~tid:t;
-              Hashtbl.remove model t;
-              true
-          | Probe now ->
-              (* the sweep's answers, from the model *)
-              let entries =
-                Hashtbl.fold (fun t d acc -> (d, t) :: acc) model []
-              in
-              let m_min =
-                List.fold_left
-                  (fun acc e -> match acc with
-                    | Some m when m <= e -> acc
-                    | _ -> Some e)
-                  None entries
-              in
-              let m_victim =
-                match m_min with
-                | Some (d, t) when d <= now -> Some (t, d)
-                | _ -> None
-              in
-              let m_next = match m_min with Some (d, _) -> d | None -> max_int in
-              let m_fire =
-                if m_next = max_int then max_int
-                else (m_next + mask) land lnot mask
-              in
-              Wheel.size w = Hashtbl.length model
-              && Wheel.next_deadline w = m_next
-              && Wheel.min_due w ~now = m_victim
-              && Wheel.next_fire w ~mask = m_fire
-              || QCheck.Test.fail_reportf
-                   "probe %d: wheel (size %d, next %d) disagrees with model \
-                    (size %d, next %d)"
-                   now (Wheel.size w) (Wheel.next_deadline w)
-                   (Hashtbl.length model) m_next)
-        ops)
-
-(* ---- per-strategy record == replay on contended programs ---- *)
 
 let io = Iomodel.random ~seed:33
 
@@ -171,9 +12,9 @@ let analyze src =
     ~profile_io:(fun i -> Iomodel.random ~seed:(500 + i))
     (Minic.Parser.parse ~file:"sched.mc" src)
 
-(* Each strategy runs the sweep at its own wheel granularity (storm:
-   32-tick windows over the shortened timeout); divergence under any of
-   them means the wheel moved a preemption. *)
+(* Each strategy runs the sweep at its own window (storm: 32-tick
+   windows over the shortened timeout); divergence under any of them
+   means replay moved a preemption. *)
 let prop_strategy strategy =
   QCheck.Test.make
     ~name:
@@ -203,17 +44,6 @@ let rand () =
   | None -> Random.State.make [| 0x5C4ED |]
 
 let suite =
-  [
-    Alcotest.test_case "wheel: register / pop-min" `Quick test_register_pop;
-    Alcotest.test_case "wheel: deadline ties break on tid" `Quick
-      test_tie_breaks_on_tid;
-    Alcotest.test_case "wheel: cancel and replace" `Quick
-      test_cancel_and_replace;
-    Alcotest.test_case "wheel: sweep-boundary quantization" `Quick
-      test_quantization_boundaries;
-    Alcotest.test_case "wheel: max_int sentinel" `Quick test_max_int_sentinel;
-    QCheck_alcotest.to_alcotest ~rand:(rand ()) prop_wheel_eq_sweep;
-  ]
-  @ List.map
-      (fun s -> QCheck_alcotest.to_alcotest ~rand:(rand ()) (prop_strategy s))
-      Engine.all_strategies
+  List.map
+    (fun s -> QCheck_alcotest.to_alcotest ~rand:(rand ()) (prop_strategy s))
+    Engine.all_strategies

@@ -5,7 +5,8 @@
     replay has there, re-recordings pin the same checkpoint digests, and
     every kind of on-disk damage — segment payloads, a checkpoint pin,
     the manifest, a [/1] manifest header — surfaces as the typed [Replay.Log.Corrupt],
-    never a crash. *)
+    never a crash. A half-written temp manifest left by a crash is
+    ignored by replay and removed by the next writer. *)
 
 open Interp
 
@@ -272,6 +273,29 @@ let test_corrupt_manifest () =
   Alcotest.(check bool) "missing manifest is typed" true
     (is_corrupt (fun () -> replay_dir dir))
 
+(* the manifest is replaced by rename: a crash mid-write strands a
+   half-written [manifest.tmp] beside the whole previous manifest *)
+let test_stranded_manifest_tmp () =
+  with_seg_dir @@ fun dir ->
+  let seg = record_seg ~dir () in
+  let manifest = Filename.concat dir Replay.Seglog.manifest_file in
+  let tmp = manifest ^ ".tmp" in
+  Alcotest.(check bool) "a finished recording leaves no temp manifest" false
+    (Sys.file_exists tmp);
+  let whole = In_channel.with_open_bin manifest In_channel.input_all in
+  Out_channel.with_open_bin tmp (fun oc ->
+      output_string oc (String.sub whole 0 (String.length whole / 2)));
+  (match
+     Chimera.Runner.same_execution seg.sr_outcome (replay_dir dir).st_outcome
+   with
+  | Ok () -> ()
+  | Error d ->
+      Alcotest.failf "replay beside a stranded temp manifest diverged: %a"
+        Chimera.Runner.pp_divergence d);
+  ignore (Replay.Seglog.create_writer ~dir);
+  Alcotest.(check bool) "a fresh writer drops the stranded temp manifest"
+    false (Sys.file_exists tmp)
+
 let suite =
   [
     Alcotest.test_case "spill matches monolithic recording" `Quick
@@ -290,4 +314,6 @@ let suite =
       test_corrupt_segment_magic;
     Alcotest.test_case "corrupt: checkpoint" `Quick test_corrupt_checkpoint;
     Alcotest.test_case "corrupt: manifest" `Quick test_corrupt_manifest;
+    Alcotest.test_case "stranded manifest.tmp is harmless" `Quick
+      test_stranded_manifest_tmp;
   ]
