@@ -110,7 +110,14 @@ let io_seed_arg =
   Arg.(value & opt int 42 & info [ "io-seed" ] ~doc:"Input-model seed")
 
 let profile_runs_arg =
-  Arg.(value & opt int 8 & info [ "profile-runs" ] ~doc:"Profiling runs")
+  Arg.(
+    value & opt int 8
+    & info [ "profile-runs" ] ~docv:"N"
+        ~doc:
+          "At most $(docv) profiling runs. Profiling stops earlier once \
+           two further runs leave the plan's view of the profile (the \
+           concurrent function pairs and the loops at or over the \
+           loop-body threshold) unchanged.")
 
 let opts_arg =
   let opts_conv =
@@ -292,6 +299,7 @@ let plan_cmd =
     in
     if explain_plan then Fmt.pr "%a@." Lockopt.pp_explain an.an_lockopt
     else begin
+      Fmt.pr "%a@." (Profiling.Profile.pp ~cap:profile_runs) an.an_profile;
       Fmt.pr "%a@." Instrument.Plan.pp_summary an.an_plan;
       Fmt.pr "%a@.@." Lockopt.pp_report an.an_lockopt;
       List.iter

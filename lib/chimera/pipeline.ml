@@ -48,7 +48,10 @@ let cache_key ~opts ~profile_runs ~profile_config ~mhp ~lockopt ~cache_tag
 
 (** Run the full static + profiling pipeline.
 
-    [profile_runs] defaults to 20 (as in the paper, Section 7.1);
+    [profile_runs] caps the profiling runs and defaults to 20 (as in
+    the paper, Section 7.1); profiling stops earlier once the plan's
+    view of the merged profile ({!Instrument.Plan.profile_view}) is
+    stable (see {!Profiling.Profile.profile_many});
     [profile_io] supplies per-run input models (profiling inputs should
     differ from evaluation inputs); [opts] selects the optimization set
     (Figure 5's configurations live in {!Instrument.Plan}); [lockopt]
@@ -129,7 +132,8 @@ let analyze ?(opts = Instrument.Plan.all_opts) ?(profile_runs = 20)
       let t0 = now () in
       let profile =
         Profiling.Profile.profile_many ~config:profile_config ?pool
-          ~io_of:profile_io ~runs:profile_runs prog
+          ~view:(Instrument.Plan.profile_view opts) ~io_of:profile_io
+          ~runs:profile_runs prog
       in
       emit "profile" (now () -. t0);
       let t0 = now () in

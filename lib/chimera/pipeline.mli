@@ -37,10 +37,12 @@ val cache_key :
   Minic.Ast.program ->
   string
 
-(** Run the static + profiling pipeline. [profile_runs] defaults to 20
-    (paper Section 7.1); [profile_io] supplies per-run input models
-    (profiling inputs should differ from evaluation inputs); [opts]
-    selects the optimization set (Figure 5's configurations live in
+(** Run the static + profiling pipeline. [profile_runs] is a maximum,
+    default 20 (paper Section 7.1): profiling stops once the plan's view
+    of the merged profile ({!Instrument.Plan.profile_view}) has not
+    changed for {!Profiling.Profile.stable_runs} runs; [profile_io]
+    supplies per-run input models (profiling inputs should differ from
+    evaluation inputs); [opts] selects the optimization set (Figure 5's configurations live in
     {!Instrument.Plan}); [mhp] (default on) statically prunes race pairs
     that fork/join ordering serializes (see {!Mhp}); [lockopt] (default
     on) elides acquisitions the interprocedural must-lockset analysis

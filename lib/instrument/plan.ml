@@ -271,6 +271,24 @@ let decide_side (p : program) (ix : index) (prof : Profiling.Profile.t)
               })
   end
 
+(** What {!compute} reads of a profile: the concurrent pairs (through
+    [Profile.concurrent]) and which loops reach the loop-body threshold.
+    Profiles with equal views yield equal plans, so profiling can stop
+    once the view is stable (see [Profile.profile_many]). *)
+type profile_view = (string * string) list * int list
+
+let profile_view (opts : options) (prof : Profiling.Profile.t) : profile_view =
+  let large =
+    Hashtbl.fold
+      (fun lid _ acc ->
+        match Profiling.Profile.avg_loop_body prof lid with
+        | Some avg when avg >= opts.loop_body_threshold -> lid :: acc
+        | _ -> acc)
+      prof.loop_insns []
+  in
+  ( Profiling.Profile.Pairset.elements prof.concurrent_pairs,
+    List.sort compare large )
+
 (** Compute the instrumentation plan. *)
 let compute ?(opts = all_opts) (p : program) (report : Relay.Detect.report)
     (prof : Profiling.Profile.t) : t =

@@ -71,6 +71,14 @@ val naive : options
 val funcs_only : options
 val loops_only : options
 
+(** What {!compute} reads of a profile: the sorted concurrent pairs and
+    the sorted ids of loops whose average body reaches
+    [loop_body_threshold]. Equal views give equal plans; the pipeline
+    profiles until the view is stable. *)
+type profile_view = (string * string) list * int list
+
+val profile_view : options -> Profiling.Profile.t -> profile_view
+
 val compute :
   ?opts:options -> program -> Relay.Detect.report -> Profiling.Profile.t -> t
 

@@ -169,12 +169,25 @@ let merge ~(into : t) (src : t) : unit =
   Hashtbl.iter (add_into into.loop_insns) src.loop_insns;
   into.runs <- into.runs + src.runs
 
-(** Profile over [runs] seeds (the paper uses 20 runs with varied inputs;
-    inputs vary through the io-model seed here). With [pool], the runs
-    execute concurrently — each into its own fresh profile, merged in run
-    order — and produce the identical aggregate profile. *)
+(** Confirming runs the stop rule needs: profiling stops after run [i]
+    once [view] of the merged profile is the same after runs
+    [i - stable_runs] through [i]. *)
+let stable_runs = 2
+
+(** Profile over at most [runs] seeds (the paper uses 20 runs with
+    varied inputs; inputs vary through the io-model seed here). Without
+    [view], exactly [runs] runs. With [view], profiling stops early once
+    [view] of the merged profile has not changed for {!stable_runs}
+    consecutive runs; [view] must return a canonical value, compared
+    with structural equality.
+
+    With [pool], runs execute in rounds of [Pool.size] — each into its
+    own fresh profile — and merge in run order up to the stop point; the
+    rest of the last round is discarded. The result, [runs] included, is
+    the serial one. *)
 let profile_many ?(config = Interp.Engine.default_config) ?(pool : Par.Pool.t option)
-    ~(io_of : int -> Interp.Iomodel.t) ?(runs = 20) (prog : Minic.Ast.program) : t =
+    ?view ~(io_of : int -> Interp.Iomodel.t) ?(runs = 20)
+    (prog : Minic.Ast.program) : t =
   let run_one i =
     let t = create () in
     let config =
@@ -183,18 +196,37 @@ let profile_many ?(config = Interp.Engine.default_config) ?(pool : Par.Pool.t op
     ignore (profile_run ~config ~io:(io_of i) t prog);
     t
   in
-  let indices = List.init runs (fun i -> i + 1) in
-  let per_run =
-    match pool with
-    | Some p when Par.Pool.size p > 1 -> Par.Pool.map_list p run_one indices
-    | _ -> List.map run_one indices
-  in
+  let width = Option.fold ~none:1 ~some:Par.Pool.size pool in
   let acc = create () in
-  List.iter (fun t -> merge ~into:acc t) per_run;
+  (* [last]: the view after the previous merge; [same]: how many
+     consecutive merges left it unchanged *)
+  let last = ref None and same = ref 0 in
+  let stable () =
+    match view with
+    | None -> false
+    | Some view ->
+        let v = view acc in
+        if !last = Some v then incr same else same := 0;
+        last := Some v;
+        !same >= stable_runs
+  in
+  let rec round first =
+    if first <= runs then begin
+      let batch = List.init (min width (runs - first + 1)) (fun k -> first + k) in
+      let rec absorb = function
+        | [] -> round (first + width)
+        | t :: rest ->
+            merge ~into:acc t;
+            if not (stable ()) then absorb rest
+      in
+      absorb (Par.Pool.map_opt pool run_one batch)
+    end
+  in
+  round 1;
   acc
 
 let n_concurrent_pairs t = Pairset.cardinal t.concurrent_pairs
 
-let pp ppf (t : t) =
-  Fmt.pf ppf "profile: %d runs, %d concurrent pairs" t.runs
+let pp ~cap ppf (t : t) =
+  Fmt.pf ppf "profile: %d of at most %d runs, %d concurrent pairs" t.runs cap
     (Pairset.cardinal t.concurrent_pairs)

@@ -38,17 +38,27 @@ val profile_run :
     so parallel per-run profiles aggregate to the serial result. *)
 val merge : into:t -> t -> unit
 
-(** [runs] profiled runs with per-run input models (the paper uses 20
-    runs with varied inputs). With [pool], runs execute on the pool's
-    domains and merge in run order; the aggregate profile is identical to
-    the serial one. *)
+(** Confirming runs of the stop rule in {!profile_many} (2). *)
+val stable_runs : int
+
+(** At most [runs] profiled runs with per-run input models (the paper
+    uses 20 runs with varied inputs). Without [view], exactly [runs]
+    runs. With [view], profiling stops after run [i] once [view] of the
+    merged profile is the same after runs [i - stable_runs] through [i];
+    [view] must return a canonical value (compared with [=]). With
+    [pool], runs execute in rounds of the pool's size and merge in run
+    order up to the stop point; the profile, [runs] included, is
+    identical to the serial one. *)
 val profile_many :
   ?config:Interp.Engine.config ->
   ?pool:Par.Pool.t ->
+  ?view:(t -> 'v) ->
   io_of:(int -> Interp.Iomodel.t) ->
   ?runs:int ->
   Minic.Ast.program ->
   t
 
 val n_concurrent_pairs : t -> int
-val pp : t Fmt.t
+
+(** [profile: R of at most CAP runs, P concurrent pairs]. *)
+val pp : cap:int -> t Fmt.t

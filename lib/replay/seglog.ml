@@ -296,11 +296,11 @@ let load_segment ~dir (s : segment) : Log.t =
     fail "order blob checksum mismatch";
   let raw_i =
     try Zcompress.decompress z_i
-    with _ -> fail "input blob does not decompress"
+    with Zcompress.Malformed m -> fail "input blob does not decompress: %s" m
   in
   let raw_o =
     try Zcompress.decompress z_o
-    with _ -> fail "order blob does not decompress"
+    with Zcompress.Malformed m -> fail "order blob does not decompress: %s" m
   in
   if
     String.length raw_i <> s.sg_raw_input

@@ -92,21 +92,30 @@ let compress (src : string) : string =
   flush_literals n;
   Buffer.contents out
 
+exception Malformed of string
+
 let decompress (z : string) : string =
   let out = Buffer.create (String.length z * 2) in
   let i = ref 0 in
   let n = String.length z in
+  let malformed fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt in
   while !i < n do
     let t = Char.code z.[!i] in
     incr i;
     if t < 0x80 then begin
       let run = t + 1 in
+      if !i + run > n then
+        malformed "literal run of %d bytes at offset %d truncated" run (!i - 1);
       Buffer.add_substring out z !i run;
       i := !i + run
     end
     else begin
       let len = t - 0x80 + min_match in
+      if !i + 2 > n then malformed "match header at offset %d truncated" (!i - 1);
       let dist = Char.code z.[!i] lor (Char.code z.[!i + 1] lsl 8) in
+      if dist = 0 || dist > Buffer.length out then
+        malformed "match distance %d at offset %d outside the %d bytes produced"
+          dist (!i - 1) (Buffer.length out);
       i := !i + 2;
       let start = Buffer.length out - dist in
       for k = 0 to len - 1 do

@@ -117,6 +117,8 @@ let test_plan_instrument () =
   let code, out, _ = run_cli exe [ "plan"; mc; "--profile-runs"; "4" ] in
   Alcotest.(check int) "plan exit code" 0 code;
   check_contains "plan stdout" out "lock";
+  (* --profile-runs is a cap: profiling stopped once the view settled *)
+  check_contains "plan stdout" out "profile: 3 of at most 4 runs";
   let code, out, _ = run_cli exe [ "instrument"; mc; "--profile-runs"; "4" ] in
   Alcotest.(check int) "instrument exit code" 0 code;
   check_contains "instrument stdout" out "__weak_enter";

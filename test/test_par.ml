@@ -122,6 +122,7 @@ let analysis_digest (an : Chimera.Pipeline.analysis) =
   ( Fmt.str "%a" Relay.Detect.pp_report_explain an.an_report,
     an.an_report.n_candidates,
     Profiling.Profile.n_concurrent_pairs an.an_profile,
+    an.an_profile.runs,
     Minic.Pretty.program_to_string an.an_instrumented )
 
 (* one unit of comparable work: full pipeline + 2 native/record/replay

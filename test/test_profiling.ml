@@ -111,6 +111,71 @@ let test_saturation () =
   let p3 = after 3 and p10 = after 10 in
   Alcotest.(check int) "saturated by run 3" p3 p10
 
+let plan_view = Instrument.Plan.profile_view Instrument.Plan.all_opts
+
+let test_stop_rule_late_pair () =
+  (* [b] runs only from run 3 on: runs 1-2 agree, run 3 changes the
+     view, runs 4-5 confirm it, so profiling stops after run 5 of 8 *)
+  let p =
+    parse
+      {|int g; int h;
+        void a(int *u) { int i; for (i = 0; i < 10; i++) { g = g + 1; } }
+        void b(int *u) { int i; for (i = 0; i < 10; i++) { h = h + 1; } }
+        int main() { int t1; int t2; int k;
+          k = input();
+          t1 = spawn(a, &g);
+          if (k > 0) { t2 = spawn(b, &h); join(t2); }
+          join(t1); return g + h; }|}
+  in
+  let io_of i =
+    {
+      Interp.Iomodel.io_input = (fun _ -> if i >= 3 then 1 else 0);
+      io_read = (fun _ -> []);
+    }
+  in
+  let stopped ?pool () =
+    Profiling.Profile.profile_many ?pool ~view:plan_view ~io_of ~runs:8 p
+  in
+  let prof = stopped () in
+  Alcotest.(check bool) "late pair (main,b) present" true
+    (Profiling.Profile.concurrent prof "main" "b");
+  Alcotest.(check int) "stopped after run 5" 5 prof.runs;
+  let par = Par.Pool.with_pool ~clamp:false ~domains:4 (fun pool -> stopped ~pool ()) in
+  Alcotest.(check int) "-j 4 stops at the same run" prof.runs par.runs;
+  Alcotest.(check bool) "-j 4 view equals serial" true
+    (plan_view par = plan_view prof);
+  Alcotest.(check int) "no view: exactly the cap" 8
+    (Profiling.Profile.profile_many ~io_of ~runs:8 p).runs
+
+(* everything a plan decides: per-pair regions and locks, the lock
+   count, and the acquisitions the instrumented program performs *)
+let plan_digest prog (pl : Instrument.Plan.t) =
+  ( pl.pl_decisions,
+    pl.pl_n_locks,
+    Minic.Pretty.program_to_string (Instrument.Transform.apply prog pl) )
+
+let test_stopped_plan_equals_fixed () =
+  List.iter
+    (fun (b : Bench_progs.Registry.bench) ->
+      let io_of i = b.b_io ~seed:(100 + i) ~scale:b.b_profile_scale in
+      let an =
+        Chimera.Pipeline.analyze ~profile_runs:12 ~profile_io:io_of
+          (Minic.Parser.parse ~file:b.b_name
+             (b.b_source ~workers:4 ~scale:b.b_eval_scale))
+      in
+      let fixed =
+        Instrument.Plan.compute an.an_prog an.an_report
+          (Profiling.Profile.profile_many ~io_of ~runs:12 an.an_prog)
+      in
+      Alcotest.(check bool)
+        (Fmt.str "%s: stopped early (%d runs)" b.b_name an.an_profile.runs)
+        true (an.an_profile.runs < 12);
+      Alcotest.(check bool)
+        (Fmt.str "%s: stopped plan == 12-run plan" b.b_name)
+        true
+        (plan_digest an.an_prog an.an_plan_raw = plan_digest an.an_prog fixed))
+    Bench_progs.Registry.all
+
 let suite =
   [
     Alcotest.test_case "workers concurrent" `Quick test_workers_concurrent;
@@ -120,4 +185,8 @@ let suite =
       test_barrier_phases_never_concurrent;
     Alcotest.test_case "loop body size" `Quick test_loop_body_size;
     Alcotest.test_case "profile saturation" `Quick test_saturation;
+    Alcotest.test_case "stop rule: late pair, 5 of 8 runs" `Quick
+      test_stop_rule_late_pair;
+    Alcotest.test_case "stop rule: stopped plan == 12-run plan (benches)"
+      `Slow test_stopped_plan_equals_fixed;
   ]

@@ -70,12 +70,38 @@ let prop_repetitive_shrinks =
       let s = String.concat "" (List.init reps (fun _ -> unit_s)) in
       String.length (Zcompress.compress s) < String.length s)
 
+(* each malformed shape raises the one typed exception, never a stray
+   Invalid_argument from the buffer or string primitives *)
+let malformed name z =
+  match Zcompress.decompress z with
+  | out -> Alcotest.failf "%s: decoded to %S" name out
+  | exception Zcompress.Malformed _ -> ()
+
+let test_malformed_truncated_literal () =
+  malformed "literal run of 6 with 2 bytes" "\x05ab"
+
+let test_malformed_truncated_match () =
+  malformed "match header with 1 of 2 distance bytes" "\x00a\x80\x01";
+  malformed "match tag at end of input" "\x00a\x80"
+
+let test_malformed_distance () =
+  malformed "distance 0" "\x03abcd\x80\x00\x00";
+  malformed "distance beyond output" "\x03abcd\x80\x05\x00";
+  Alcotest.(check string) "distance = output length is valid" "abcdabcd"
+    (Zcompress.decompress "\x03abcd\x80\x04\x00")
+
 let suite =
   [
     Alcotest.test_case "roundtrip simple" `Quick test_roundtrip_simple;
     Alcotest.test_case "empty" `Quick test_empty;
     Alcotest.test_case "compresses repetition" `Quick test_compresses_repetition;
     Alcotest.test_case "bounded expansion" `Quick test_incompressible_bounded_expansion;
+    Alcotest.test_case "malformed: truncated literal run" `Quick
+      test_malformed_truncated_literal;
+    Alcotest.test_case "malformed: truncated match header" `Quick
+      test_malformed_truncated_match;
+    Alcotest.test_case "malformed: match distance out of range" `Quick
+      test_malformed_distance;
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_roundtrip_binary;
     QCheck_alcotest.to_alcotest prop_roundtrip_mixed;
