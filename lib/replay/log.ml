@@ -154,25 +154,39 @@ let oldest_first (xs : 'a list) : 'a array =
 (* Binary encoding *)
 
 module Enc = struct
+  (* The zigzagged value is emitted as an unsigned 63-bit number: the
+     stop test [n land lnot 0x7f = 0] and [lsr] never read a sign, so a
+     value whose zigzag form sets the top bit ([|n| >= 2^61]) still
+     takes its 9 bytes. Top-level loops, like every per-element encoder
+     below: a local [let rec] would allocate a closure per call. *)
+  let rec unsigned b n =
+    if n land lnot 0x7f = 0 then Buffer.add_char b (Char.unsafe_chr n)
+    else begin
+      Buffer.add_char b (Char.unsafe_chr (0x80 lor (n land 0x7f)));
+      unsigned b (n lsr 7)
+    end
+
   let varint b n =
-    (* zigzag for negatives *)
-    let n = if n >= 0 then n lsl 1 else ((-n) lsl 1) lor 1 in
-    let rec go n =
-      if n < 0x80 then Buffer.add_char b (Char.chr n)
-      else begin
-        Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
-        go (n lsr 7)
-      end
-    in
-    go n
+    (* zigzag for negatives; [-min_int = min_int] has no zigzag form
+       and would silently encode as 0 *)
+    if n = min_int then
+      invalid_arg
+        (Printf.sprintf "Log.Enc.varint: %d (min_int) has no zigzag encoding" n);
+    unsigned b (if n >= 0 then n lsl 1 else ((-n) lsl 1) lor 1)
 
   let string b s =
     varint b (String.length s);
     Buffer.add_string b s
 
+  let rec iter b f = function
+    | [] -> ()
+    | x :: xs ->
+        f b x;
+        iter b f xs
+
   let list b f xs =
     varint b (List.length xs);
-    List.iter (f b) xs
+    iter b f xs
 
   let tid_path b (p : Key.tid_path) = list b varint p
 
@@ -196,17 +210,16 @@ module Dec = struct
   let corrupt c fmt =
     Fmt.kstr (fun m -> raise (Corrupt (Fmt.str "%s (byte %d)" m c.pos))) fmt
 
+  let rec unsigned c len shift acc =
+    if c.pos >= len then corrupt c "truncated varint";
+    if shift > 62 then corrupt c "varint overflow";
+    let byte = Char.code (String.unsafe_get c.s c.pos) in
+    c.pos <- c.pos + 1;
+    let acc = acc lor ((byte land 0x7f) lsl shift) in
+    if byte land 0x80 <> 0 then unsigned c len (shift + 7) acc else acc
+
   let varint c =
-    let len = String.length c.s in
-    let rec go shift acc =
-      if c.pos >= len then corrupt c "truncated varint";
-      if shift > 62 then corrupt c "varint overflow";
-      let byte = Char.code c.s.[c.pos] in
-      c.pos <- c.pos + 1;
-      let acc = acc lor ((byte land 0x7f) lsl shift) in
-      if byte land 0x80 <> 0 then go (shift + 7) acc else acc
-    in
-    let z = go 0 0 in
+    let z = unsigned c (String.length c.s) 0 0 in
     if z land 1 = 0 then z lsr 1 else -(z lsr 1)
 
   let string c =

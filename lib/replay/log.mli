@@ -84,7 +84,9 @@ val oldest_first : 'a list -> 'a array
 (** Oldest-first array view of a newest-first event list. *)
 
 (** Varint-based binary encodings; reported log sizes are these strings,
-    compressed. [decode input order] inverts both. *)
+    compressed. [decode input order] inverts both. Every int except
+    [min_int] encodes (zigzag, 1 to 9 bytes).
+    @raise Invalid_argument naming the value if the log holds [min_int]. *)
 val encode_input_log : t -> string
 
 val encode_order_log : t -> string

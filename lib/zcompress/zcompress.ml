@@ -9,121 +9,181 @@
       2-byte little-endian distance.
 
     Greedy longest-match search over a 8 KiB window with a 3-byte hash
-    chain. Round-trips exactly (tested). *)
+    chain, walking at most [max_tries] candidates per position. One scan
+    makes every choice; {!compress} writes the tokens it picks and
+    {!compressed_size} only counts their bytes, so the two agree by
+    construction. Round-trips exactly (tested). *)
 
 let min_match = 4
 let max_match = 130  (* 0xFF - 0x80 + min_match + 1 *)
 let window = 8192
 let max_literal_run = 128
+let max_tries = 32
+
+(* [prev] is a ring over the last [ring_mask + 1] positions (one slot
+   per position for a shorter input). A chain link is read only from a
+   candidate within the window, and the slot of such a candidate is
+   overwritten only [ring_mask + 1 > window] positions later, after the
+   scan has moved past reach of it. *)
+let ring_mask = 0x3fff
 
 let hash3 (s : string) i =
-  ((Char.code s.[i] lsl 10) lxor (Char.code s.[i + 1] lsl 5)
-  lxor Char.code s.[i + 2])
+  ((Char.code (String.unsafe_get s i) lsl 10)
+  lxor (Char.code (String.unsafe_get s (i + 1)) lsl 5)
+  lxor Char.code (String.unsafe_get s (i + 2)))
   land 0x3fff
 
-let compress (src : string) : string =
-  let n = String.length src in
-  let out = Buffer.create (n / 2) in
-  let head = Array.make 0x4000 (-1) in
-  let prev = Array.make (max n 1) (-1) in
-  let lit_start = ref 0 in
-  let flush_literals upto =
-    let i = ref !lit_start in
-    while !i < upto do
-      let run = min max_literal_run (upto - !i) in
-      Buffer.add_char out (Char.chr (run - 1));
-      Buffer.add_substring out src !i run;
-      i := !i + run
-    done;
-    lit_start := upto
-  in
-  let insert i =
-    if i + 2 < n then begin
-      let h = hash3 src i in
-      prev.(i) <- head.(h);
-      head.(h) <- i
+(* chain position [k] under its 3-byte hash; the last two positions
+   start no 3-byte string *)
+let insert head prev (src : string) n k =
+  if k + 2 < n then begin
+    let h = hash3 src k in
+    Array.unsafe_set prev (k land ring_mask) (Array.unsafe_get head h);
+    Array.unsafe_set head h k
+  end
+
+(* bytes of the literal tokens covering a span of [len] bytes: one tag
+   byte per run of at most [max_literal_run] *)
+let literal_bytes len = len + ((len + max_literal_run - 1) / max_literal_run)
+
+let add_literals out (src : string) lo hi =
+  let i = ref lo in
+  while !i < hi do
+    let run = min max_literal_run (hi - !i) in
+    Buffer.add_char out (Char.unsafe_chr (run - 1));
+    Buffer.add_substring out src !i run;
+    i := !i + run
+  done
+
+(* Length of the longest match for position [pos] among the hash chain's
+   candidates, with its distance in [dist]. A candidate can only win by
+   matching past [best], so one whose byte at offset [best] differs is
+   skipped without a full compare; once a match reaches [maxl] no later
+   candidate can beat it. Ties keep the nearer candidate. *)
+let longest_match head prev (src : string) n pos (dist : int ref) =
+  let maxl = min max_match (n - pos) in
+  let best = ref 0 in
+  let cand = ref (Array.unsafe_get head (hash3 src pos)) in
+  let tries = ref max_tries in
+  while !cand >= 0 && !tries > 0 && !best < maxl do
+    let c = !cand in
+    if pos - c > window then cand := -1
+    else begin
+      let b = !best in
+      if String.unsafe_get src (c + b) = String.unsafe_get src (pos + b) then begin
+        let len = ref 0 in
+        while
+          !len < maxl
+          && String.unsafe_get src (c + !len) = String.unsafe_get src (pos + !len)
+        do
+          incr len
+        done;
+        if !len > b then begin
+          best := !len;
+          dist := pos - c
+        end
+      end;
+      cand := Array.unsafe_get prev (c land ring_mask);
+      decr tries
     end
-  in
+  done;
+  !best
+
+(* The greedy scan. Every token goes to [out] when one is given; the
+   result is the compressed size either way. *)
+let scan (src : string) (out : Buffer.t option) : int =
+  let n = String.length src in
+  let head = Array.make 0x4000 (-1) in
+  let prev = Array.make (max 1 (min n (ring_mask + 1))) (-1) in
+  let dist = ref 0 in
+  let size = ref 0 in
+  let lit_start = ref 0 in
   let i = ref 0 in
   while !i < n do
-    let best_len = ref 0 and best_dist = ref 0 in
-    if !i + min_match <= n && !i + 2 < n then begin
-      let h = hash3 src !i in
-      let cand = ref head.(h) in
-      let tries = ref 32 in
-      while !cand >= 0 && !tries > 0 do
-        if !i - !cand <= window then begin
-          let len = ref 0 in
-          let maxl = min max_match (n - !i) in
-          while
-            !len < maxl && src.[!cand + !len] = src.[!i + !len]
-          do
-            incr len
-          done;
-          if !len > !best_len then begin
-            best_len := !len;
-            best_dist := !i - !cand
-          end;
-          cand := prev.(!cand);
-          decr tries
-        end
-        else begin
-          cand := -1
-        end
-      done
-    end;
-    if !best_len >= min_match then begin
-      flush_literals !i;
-      Buffer.add_char out (Char.chr (0x80 lor (!best_len - min_match)));
-      Buffer.add_char out (Char.chr (!best_dist land 0xff));
-      Buffer.add_char out (Char.chr ((!best_dist lsr 8) land 0xff));
-      let stop = !i + !best_len in
-      while !i < stop do
-        insert !i;
-        incr i
+    let pos = !i in
+    let len =
+      if pos + min_match <= n then longest_match head prev src n pos dist else 0
+    in
+    if len >= min_match then begin
+      size := !size + literal_bytes (pos - !lit_start) + 3;
+      (match out with
+      | None -> ()
+      | Some out ->
+          add_literals out src !lit_start pos;
+          Buffer.add_char out (Char.unsafe_chr (0x80 lor (len - min_match)));
+          Buffer.add_char out (Char.unsafe_chr (!dist land 0xff));
+          Buffer.add_char out (Char.unsafe_chr ((!dist lsr 8) land 0xff)));
+      for k = pos to pos + len - 1 do
+        insert head prev src n k
       done;
+      i := pos + len;
       lit_start := !i
     end
     else begin
-      insert !i;
-      incr i
+      insert head prev src n pos;
+      i := pos + 1
     end
   done;
-  flush_literals n;
+  (match out with None -> () | Some out -> add_literals out src !lit_start n);
+  !size + literal_bytes (n - !lit_start)
+
+let compress (src : string) : string =
+  let out = Buffer.create (String.length src / 2) in
+  ignore (scan src (Some out) : int);
   Buffer.contents out
+
+let compressed_size (s : string) : int = scan s None
 
 exception Malformed of string
 
 let decompress (z : string) : string =
-  let out = Buffer.create (String.length z * 2) in
-  let i = ref 0 in
   let n = String.length z in
+  let out = ref (Bytes.create (max 64 (2 * n))) in
+  let len = ref 0 in
+  (* room for [k] more bytes *)
+  let reserve k =
+    let cap = Bytes.length !out in
+    if !len + k > cap then begin
+      let grown = Bytes.create (max (2 * cap) (!len + k)) in
+      Bytes.blit !out 0 grown 0 !len;
+      out := grown
+    end
+  in
   let malformed fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt in
+  let i = ref 0 in
   while !i < n do
-    let t = Char.code z.[!i] in
+    let t = Char.code (String.unsafe_get z !i) in
     incr i;
     if t < 0x80 then begin
       let run = t + 1 in
       if !i + run > n then
         malformed "literal run of %d bytes at offset %d truncated" run (!i - 1);
-      Buffer.add_substring out z !i run;
+      reserve run;
+      Bytes.blit_string z !i !out !len run;
+      len := !len + run;
       i := !i + run
     end
     else begin
-      let len = t - 0x80 + min_match in
+      let mlen = t - 0x80 + min_match in
       if !i + 2 > n then malformed "match header at offset %d truncated" (!i - 1);
-      let dist = Char.code z.[!i] lor (Char.code z.[!i + 1] lsl 8) in
-      if dist = 0 || dist > Buffer.length out then
+      let dist =
+        Char.code (String.unsafe_get z !i)
+        lor (Char.code (String.unsafe_get z (!i + 1)) lsl 8)
+      in
+      if dist = 0 || dist > !len then
         malformed "match distance %d at offset %d outside the %d bytes produced"
-          dist (!i - 1) (Buffer.length out);
+          dist (!i - 1) !len;
       i := !i + 2;
-      let start = Buffer.length out - dist in
-      for k = 0 to len - 1 do
-        Buffer.add_char out (Buffer.nth out (start + k))
-      done
+      reserve mlen;
+      let b = !out and start = !len - dist in
+      if dist >= mlen then Bytes.blit b start b !len mlen
+      else
+        (* the match overlaps its own output: each byte copies one
+           written [dist] bytes earlier in this same loop *)
+        for k = 0 to mlen - 1 do
+          Bytes.unsafe_set b (!len + k) (Bytes.unsafe_get b (start + k))
+        done;
+      len := !len + mlen
     end
   done;
-  Buffer.contents out
-
-(** Compressed size in bytes. *)
-let compressed_size (s : string) : int = String.length (compress s)
+  Bytes.sub_string !out 0 !len

@@ -12,4 +12,7 @@ exception Malformed of string
 (** Inverse of {!compress}. @raise Malformed on malformed input. *)
 val decompress : string -> string
 
+(** [compressed_size s = String.length (compress s)], computed by the
+    same greedy scan without building the output: it only counts the
+    bytes of the tokens the scan picks. *)
 val compressed_size : string -> int

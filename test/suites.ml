@@ -18,6 +18,7 @@ let all : (string * unit Alcotest.test_case list) list =
     ("trace", Test_trace.suite);
     ("bjson", Test_bjson.suite);
     ("zcompress", Test_zcompress.suite);
+    ("log-bytes", Test_logbytes.suite);
     ("interp", Test_interp.suite);
     ("sched", Test_sched.suite);
     ("dynrace", Test_dynrace.suite);

@@ -364,6 +364,39 @@ let test_decode_large_sequences () =
   Alcotest.(check string) "re-encode stable" i
     (Replay.Log.encode_input_log log')
 
+(* Varints at the edge of the int range. The zigzag form of any
+   [|n| >= 2^61] sets the top bit of the 63-bit int; it must still
+   encode as 9 unsigned 7-bit groups and decode back. [min_int] has no
+   zigzag form and is refused by name. *)
+let input_log_of v =
+  let rc = Replay.Recorder.create () in
+  Replay.Recorder.rec_input rc ~tp:[] [ v ];
+  rc.Replay.Recorder.log
+
+let test_varint_range () =
+  let check name v bytes =
+    let log = input_log_of v in
+    let i = Replay.Log.encode_input_log log in
+    (* 1 thread, path [], 1 burst of 1 value; syscall order: 1 entry, [] *)
+    Alcotest.(check string) (name ^ ": bytes")
+      ("\x02\x00\x02\x02" ^ bytes ^ "\x02\x00") i;
+    let log' = Replay.Log.decode i (Replay.Log.encode_order_log log) in
+    Alcotest.(check (list (list int))) (name ^ ": decoded") [ [ v ] ]
+      !(Hashtbl.find log'.inputs [])
+  in
+  check "0" 0 "\x00";
+  check "2^61" (1 lsl 61) "\x80\x80\x80\x80\x80\x80\x80\x80\x40";
+  check "max_int" max_int "\xfe\xff\xff\xff\xff\xff\xff\xff\x7f";
+  check "-(2^61)" (-(1 lsl 61)) "\x81\x80\x80\x80\x80\x80\x80\x80\x40";
+  check "-max_int" (-max_int) "\xff\xff\xff\xff\xff\xff\xff\xff\x7f";
+  match Replay.Log.encode_input_log (input_log_of min_int) with
+  | s -> Alcotest.failf "min_int encoded as %S" s
+  | exception Invalid_argument m ->
+      Alcotest.(check bool)
+        (Fmt.str "message %S names the value" m)
+        true
+        (Testutil.contains m (string_of_int min_int))
+
 (* qcheck: encode/decode roundtrip over random logs *)
 let prop_log_roundtrip =
   let open QCheck in
@@ -445,6 +478,43 @@ let prop_log_roundtrip_large =
       Replay.Log.encode_input_log log' = i
       && Replay.Log.encode_order_log log' = o)
 
+(* bursts drawn from the whole int range (all but [min_int], which the
+   encoder refuses), weighted towards the 9-byte edge: decoding gives
+   back every value, and re-encoding the decoded log the same bytes *)
+let prop_log_roundtrip_full_range =
+  let open QCheck in
+  let gen_value =
+    Gen.(
+      map
+        (fun n -> if n = min_int then max_int else n)
+        (oneof
+           [
+             int;
+             oneofl
+               [ max_int; -max_int; 1 lsl 61; -(1 lsl 61); (1 lsl 61) - 1;
+                 1 - (1 lsl 61); 1 lsl 60 ];
+             int_range (-200) 200;
+           ]))
+  in
+  let gen_path = Gen.(list_size (int_range 0 2) (int_range 0 3)) in
+  let gen =
+    Gen.(list_size (int_range 0 40) (pair gen_path (list_size (int_range 0 6) gen_value)))
+  in
+  let bindings (log : Replay.Log.t) =
+    List.sort compare
+      (Hashtbl.fold (fun p bursts acc -> (p, !bursts) :: acc) log.inputs [])
+  in
+  Test.make ~name:"log roundtrip, full int range bursts" ~count:200 (make gen)
+    (fun bursts ->
+      let rc = Replay.Recorder.create () in
+      List.iter (fun (p, b) -> Replay.Recorder.rec_input rc ~tp:p b) bursts;
+      let log = rc.Replay.Recorder.log in
+      let i = Replay.Log.encode_input_log log in
+      let o = Replay.Log.encode_order_log log in
+      let log' = Replay.Log.decode i o in
+      bindings log' = bindings log
+      && Replay.Log.encode_input_log log' = i)
+
 let suite =
   [
     Alcotest.test_case "log roundtrip" `Quick test_roundtrip;
@@ -469,5 +539,8 @@ let suite =
     Alcotest.test_case "decode large sequences in order" `Quick
       test_decode_large_sequences;
     QCheck_alcotest.to_alcotest prop_log_roundtrip;
+    Alcotest.test_case "varints at the int range edge" `Quick
+      test_varint_range;
     QCheck_alcotest.to_alcotest prop_log_roundtrip_large;
+    QCheck_alcotest.to_alcotest prop_log_roundtrip_full_range;
   ]
