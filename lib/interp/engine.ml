@@ -2273,11 +2273,10 @@ let tick_core eng c =
   | Some th ->
       if th.stall > 0 then th.stall <- th.stall - 1
       else begin
+        (* left off the phase clock: its two reads per core-tick would
+           cost more than this update of the core's open segment *)
         (match eng.recorder with
-        | Some rc ->
-            let t0 = ph_now eng in
-            Replay.Recorder.rec_sched rc ~core:c ~tp:th.path ~ticks:1;
-            ph_add eng Phases.Recorder t0
+        | Some rc -> Replay.Recorder.rec_sched rc ~core:c ~tp:th.path ~ticks:1
         | None -> ());
         resume_thread eng th
       end;

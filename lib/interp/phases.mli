@@ -1,12 +1,16 @@
 (** Per-phase wall-clock attribution for a record run.
 
     A [Phases.t] handed to {!Engine.run} makes the engine bucket its
-    host time into interpreter work, recorder (log-append) work,
-    scheduler bookkeeping (maintenance + idle fast-forward), and
-    weak-lock admission (timeout sweeps). Buckets are swap-free
-    monotonic-clock spans around non-suspending sections only, so they
-    never straddle a coroutine switch; interpreter time is what remains
-    of the run total after the explicit buckets. With no [Phases.t]
+    host time into interpreter work, recorder work, scheduler
+    bookkeeping (maintenance + idle fast-forward), and weak-lock
+    admission (timeout sweeps). The recorder bucket holds the appends of
+    gated events only (inputs, synchronization, weak-lock and
+    forced-release entries). The per-core-tick schedule update is left
+    off the clock, whose two reads would cost more than the update, so
+    it counts as interpreter time. Buckets are swap-free monotonic-clock
+    spans around non-suspending sections only, so they never straddle a
+    coroutine switch; interpreter time is what remains of the run total
+    after the explicit buckets. With no [Phases.t]
     attached (the default) the engine reads no clocks at all.
 
     The clock is injected ([now], seconds) so this library needs no

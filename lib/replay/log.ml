@@ -8,7 +8,8 @@
     - the {e order log}: the happens-before order of original
       synchronization operations (per-object operation order), the
       per-weak-lock acquisition order, forced-release (timeout) events,
-      and the per-core thread schedule segments (informational).
+      and the per-core thread schedule, one segment per run of a thread
+      on a core (informational).
 
     Threads are named by schedule-independent {!Runtime.Key.tid_path}s and
     objects by {!Runtime.Key.addr} / weak-lock ids, so a replayer running
@@ -92,6 +93,13 @@ type forced_event = {
   fe_lock : Minic.Ast.weak_lock;
 }
 
+(** One run of a thread on a core: [sg_ticks] core-ticks of [sg_tid] on
+    [sg_core], with no other thread on that core in between. Segments are
+    listed in the order they opened; those of different cores interleave,
+    and a segment's ticks may overlap other cores' later segments. The
+    schedule is informational: the replayer never reads it. Older
+    recorders wrote one segment per core-tick whenever two cores were
+    busy; such logs decode unchanged. *)
 type sched_segment = {
   sg_core : int;
   sg_tid : Key.tid_path;
@@ -112,7 +120,7 @@ type t = {
     (Minic.Ast.weak_lock, (Key.tid_path * sclaim) list ref) Hashtbl.t;
       (** per-lock acquisition sequence with claimed ranges, reversed *)
   mutable forced : forced_event list;  (** reversed *)
-  mutable sched : sched_segment list;  (** reversed *)
+  mutable sched : sched_segment list;  (** by opening order, reversed *)
 }
 
 let create () =

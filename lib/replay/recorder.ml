@@ -11,7 +11,13 @@
     execution seal at identical points; it charges no simulated ticks,
     so spilled and monolithic recordings of one program are
     tick-identical. The Table 2 counters keep accumulating across
-    seals. *)
+    seals.
+
+    {b Schedule.} The per-core schedule is kept as one open segment per
+    core: while the same thread stays on a core, each core-tick extends
+    that core's open segment in place, so the log holds one segment per
+    run of a thread on a core, not one per core-tick. A seal closes every
+    open segment, so no segment spans two sealed logs. *)
 
 open Runtime
 
@@ -34,6 +40,8 @@ type t = {
   mutable seg_events : int;   (** gated events in the open segment *)
   mutable seg_first_tick : int;
   mutable segments_sealed : int;
+  mutable open_sched : Log.sched_segment option array;
+      (** per core, the segment the next tick of the same thread extends *)
 }
 
 let create () =
@@ -47,6 +55,7 @@ let create () =
     seg_events = 0;
     seg_first_tick = 0;
     segments_sealed = 0;
+    open_sched = [||];
   }
 
 let set_spill (t : t) ~(events_per_segment : int)
@@ -85,16 +94,26 @@ let rec_forced (t : t) ~(owner : Key.tid_path) ~(steps : int) ~(acqs : int)
     :: t.log.forced
 
 let rec_sched (t : t) ~(core : int) ~(tp : Key.tid_path) ~(ticks : int) =
-  (* merge with previous segment when the same thread stays on the core *)
-  match t.log.sched with
-  | sg :: _ when sg.sg_core = core && sg.sg_tid = tp ->
+  if core >= Array.length t.open_sched then begin
+    let a = Array.make (core + 1) None in
+    Array.blit t.open_sched 0 a 0 (Array.length t.open_sched);
+    t.open_sched <- a
+  end;
+  (* the engine passes a thread's one path value every tick, so [==]
+     settles the common case without a polymorphic compare *)
+  match t.open_sched.(core) with
+  | Some sg when sg.sg_tid == tp || sg.sg_tid = tp ->
       sg.sg_ticks <- sg.sg_ticks + ticks
-  | _ -> t.log.sched <- { sg_core = core; sg_tid = tp; sg_ticks = ticks } :: t.log.sched
+  | _ ->
+      let sg = { Log.sg_core = core; sg_tid = tp; sg_ticks = ticks } in
+      t.log.sched <- sg :: t.log.sched;
+      t.open_sched.(core) <- Some sg
 
 let seal (t : t) (sp : spill) ~(now : int) =
   sp.sp_flush ~log:t.log ~first_tick:t.seg_first_tick ~last_tick:now
     ~events:t.seg_events;
   t.log <- Log.create ();
+  Array.fill t.open_sched 0 (Array.length t.open_sched) None;
   t.seg_events <- 0;
   t.seg_first_tick <- now;
   t.segments_sealed <- t.segments_sealed + 1

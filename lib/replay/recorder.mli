@@ -19,6 +19,8 @@ type t = {
   mutable seg_events : int;       (** gated events in the open segment *)
   mutable seg_first_tick : int;
   mutable segments_sealed : int;
+  mutable open_sched : Log.sched_segment option array;
+      (** per core, the open schedule segment; emptied at every seal *)
 }
 
 val create : unit -> t
@@ -61,7 +63,11 @@ val rec_forced :
   lock:Minic.Ast.weak_lock ->
   unit
 
-(** Adjacent segments of the same thread on the same core merge. *)
+(** Charge [ticks] of core [core] to thread [tp]: extends the core's
+    open segment while the same thread stays on it, else opens a new
+    one. Segments of different cores interleave freely, so the log holds
+    one segment per run of a thread on a core. A seal closes every open
+    segment. *)
 val rec_sched : t -> core:int -> tp:Key.tid_path -> ticks:int -> unit
 
 (** Weak-lock log entries per granularity: (func, loop, bb, instr). *)
