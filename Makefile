@@ -1,13 +1,15 @@
 # Tier-1 verification plus the MHP soundness cross-check. The cross-check
 # is part of the test suite: the fuzz/e2e properties run dynrace over
 # instrumented programs (zero races allowed) and assert that statically
-# pruned pairs are never observed racing dynamically.
+# pruned pairs are never observed racing dynamically. The suite also pins
+# the trace streams, the analysis cache and stage sink, and record ==
+# replay of every benchmark under every schedule strategy.
 #
 # J controls the domain count of the parallel targets (bench -j flag /
 # the sharded test runner); it defaults to all cores.
 .PHONY: all build test test-par check bench-json bench-wall bench-regress \
-	par-check lockopt-check trace-check analyze-check stress-check \
-	refine-check log-check sched-check bench-sustained clean
+	par-check lockopt-check stress-check gates refine-check log-check \
+	bench-sustained clean
 
 J ?= 0
 # wall-clock harness knobs: repetitions per phase, regression tolerance,
@@ -69,28 +71,11 @@ bench-regress:
 		--min-warm-speedup $(WARMX) --max-sched-share $(SCHEDSHARE) \
 		bench/wall_baseline.json /tmp/chimera-wall-fresh.json
 
-# scheduler gate: record every benchmark under all three schedule
-# strategies, pin the default-strategy ticks to the golden counters, and
-# require record == replay under each strategy. JSON report (parsed back
-# by the gate) lands in /tmp/chimera-sched.json.
-sched-check:
-	dune build test/sched_check.exe
-	./_build/default/test/sched_check.exe \
-		--golden test/golden/golden_counters.expected \
-		--json /tmp/chimera-sched.json
-
 # must-lockset elision gate: every benchmark records and replays
 # identically with the pass on and off, and elision strictly reduces
 # runtime weak-lock acquisitions wherever it removed a static one
 lockopt-check:
 	dune exec bench/main.exe -- lockopt $(JFLAG)
-
-# observability gate: traced record/replay stable event streams are
-# byte-identical, tracing never perturbs the run, the Chrome export is
-# well-formed JSON, corrupt logs fail typed, and the divergence
-# diagnostic pinpoints a first diverging event on a damaged log
-trace-check:
-	dune exec test/trace_check.exe
 
 # adversarial stress gate: batch-record the pfscan/fft/ocean x seeds
 # 1..8 x {default,pct,storm} matrix across domains, dedup the logs by
@@ -107,34 +92,32 @@ stress-check:
 		--golden test/golden/golden_counters.expected \
 		--json /tmp/chimera-stress.json $(JFLAG)
 
-# refinement gate: stress-corpus the pfscan/fft/ocean trio, refine the
-# lockopt plan on its evidence, require the safety valve clean (every
-# cell re-recorded with the detector attached, zero violations), pin
-# record == replay under both the lockopt and refined plans with strict
-# runtime-acquisition drops on >= 2 apps, and drive the CLI loop end to
-# end: stress --corpus materialises a manifest, refine emits deployment
-# JSON, a hand-corrupted plan digest exits with the typed issue status.
-# JSON report lands in /tmp/chimera-refine.json.
-refine-check:
-	dune build bin/chimera_cli.exe test/refine_check.exe
-	CHIMERA_CLI=./_build/default/bin/chimera_cli.exe \
-		./_build/default/test/refine_check.exe
+# the heavy end-to-end gates, one executable (test/gates.ml) and one JSON
+# report, /tmp/chimera-gates.json (schema chimera-gates/1):
+# - log: record knot's sustained load (20k requests) through the
+#   spilling recorder with a small segment threshold, measure that the
+#   peak resident segment stays a fraction of the raw log total, stream
+#   the segments back (full replay == recording, windowed replay halts
+#   on the full replay's digest), check checkpoint digests are pinned at
+#   exactly every 4th seal, and drive the CLI --segment-dir loop (a /2
+#   manifest, one ckpt-NNNN.bin per pin, and a corrupted segment or a /1
+#   manifest exits with the typed status 3);
+# - refine: stress-corpus the pfscan/fft/ocean trio, refine the lockopt
+#   plan on its evidence, require the safety valve clean, record ==
+#   replay under both plans with strict runtime-acquisition drops on
+#   >= 2 apps, and drive the stress --corpus / refine CLI loop (a
+#   hand-corrupted plan digest exits with the typed issue status 2).
+GATES = dune build bin/chimera_cli.exe test/gates.exe && \
+	CHIMERA_CLI=./_build/default/bin/chimera_cli.exe ./_build/default/test/gates.exe
 
-# segmented-log gate: record knot's sustained load (20k requests)
-# through the spilling recorder with a small segment threshold, measure
-# that the peak resident segment stays a fraction of the raw log total,
-# stream the segments back (full replay == recording, windowed replay
-# halts on the digest the full replay computed), check the checkpoint
-# digests are pinned at exactly every 4th seal, and drive the CLI
-# --segment-dir loop end to end — the directory must hold a /2 manifest
-# and, per seal, a ckpt-NNNN.bin holding that seal's manifest pin, and a
-# hand-corrupted segment checksum or a /1
-# manifest header must exit with the typed status 3.
-# JSON report lands in /tmp/chimera-log.json.
+gates:
+	$(GATES)
+
 log-check:
-	dune build bin/chimera_cli.exe test/log_check.exe
-	CHIMERA_CLI=./_build/default/bin/chimera_cli.exe \
-		./_build/default/test/log_check.exe
+	$(GATES) log
+
+refine-check:
+	$(GATES) refine
 
 # sustained-load segmented recording experiment: serve 20k requests
 # through each server benchmark under the spilling recorder, verify
@@ -142,13 +125,6 @@ log-check:
 # (residency ratios) on stdout
 bench-sustained:
 	dune exec bench/main.exe -- sustained
-
-# analysis gate: a -j 4 analyze digest is byte-identical to serial, a
-# warm cache hit reproduces the cold analysis, every damaged-entry shape
-# falls back to recomputation with a diagnostic, and the per-stage
-# timing sink covers the whole pipeline
-analyze-check:
-	dune exec test/analyze_check.exe
 
 clean:
 	dune clean

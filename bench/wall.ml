@@ -62,7 +62,7 @@
     tolerance ratio, when the aggregate warm-cache analyze speedup
     falls below its floor, or when the fresh run's aggregate scheduler
     share of record time exceeds its ceiling — the `make bench-regress`
-    / CI `bench-smoke` + `sched-check` gates. *)
+    / CI `bench-smoke` gate. *)
 
 let now_s () =
   Int64.to_float (Monotonic_clock.now ()) /. 1e9

@@ -1227,16 +1227,7 @@ let refine_cmd =
              dropped:never-racy, kept:witnessed, kept:unexercised, or \
              kept (shared lock)")
   in
-  let no_validate_arg =
-    Arg.(
-      value & flag
-      & info [ "no-validate" ]
-          ~doc:
-            "Skip the safety valve (re-recording every corpus cell under \
-             the refined plan with the detector attached)")
-  in
-  let run corpus_dir min_coverage out_dir explain no_validate jobs no_cache
-      cache_dir =
+  let run corpus_dir min_coverage out_dir explain jobs no_cache cache_dir =
     let corpus =
       try Refine.Corpus.load ~dir:corpus_dir
       with Refine.Corpus.Bad msg ->
@@ -1312,32 +1303,30 @@ let refine_cmd =
                    (Refine.deployment_of ~program:e.ce_name ~base:an.an_plan
                       rf));
               Fmt.epr "[refined plan -> %s]@." path;
-              if not no_validate then begin
-                let refined =
-                  Instrument.Transform.apply an.an_prog rf.rf_plan
-                in
-                let jobs =
-                  List.map
-                    (fun (r : Refine.Corpus.recording) ->
-                      (r.cr_seed, r.cr_strategy))
-                    e.ce_recordings
-                in
-                let va =
-                  Refine.validate ?pool ~cores:e.ce_cores ~io
-                    ~report:an.an_report ~refined ~jobs ()
-                in
-                if va.va_violations <> [] then begin
-                  List.iter
-                    (fun v -> Fmt.pr "  %a@." Refine.pp_violation v)
-                    va.va_violations;
-                  incr issues
-                end
-                else
-                  Fmt.pr
-                    "  validate: %d cell(s) re-recorded, %d race(s) \
-                     checked, clean@."
-                    va.va_jobs va.va_races_checked
+              let refined =
+                Instrument.Transform.apply an.an_prog rf.rf_plan
+              in
+              let jobs =
+                List.map
+                  (fun (r : Refine.Corpus.recording) ->
+                    (r.cr_seed, r.cr_strategy))
+                  e.ce_recordings
+              in
+              let va =
+                Refine.validate ?pool ~cores:e.ce_cores ~io
+                  ~report:an.an_report ~refined ~jobs ()
+              in
+              if va.va_violations <> [] then begin
+                List.iter
+                  (fun v -> Fmt.pr "  %a@." Refine.pp_violation v)
+                  va.va_violations;
+                incr issues
               end
+              else
+                Fmt.pr
+                  "  validate: %d cell(s) re-recorded, %d race(s) \
+                   checked, clean@."
+                  va.va_jobs va.va_races_checked
             end)
           corpus.co_entries;
         if !issues > 0 then begin
@@ -1363,7 +1352,7 @@ let refine_cmd =
          :: Cmd.Exit.defaults))
     Term.(
       const run $ corpus_arg $ min_coverage_arg $ out_dir_arg $ explain_arg
-      $ no_validate_arg $ jobs_arg $ no_cache_arg $ cache_dir_arg)
+      $ jobs_arg $ no_cache_arg $ cache_dir_arg)
 
 let cache_cmd =
   let stats_cmd =

@@ -2,8 +2,8 @@
     reader — objects, arrays, strings with every standard escape
     ([\uXXXX] decoded to UTF-8, surrogate pairs joined), numbers,
     booleans, null, and nothing after the value — the string escaper
-    every writer shares, and the few accessors the gates and the refine
-    corpus need. Bytes outside ASCII pass through strings untouched. *)
+    every writer shares, a writer for whole values, and the few
+    accessors the gates and the refine corpus need. Bytes outside ASCII pass through strings untouched. *)
 
 type t =
   | Null
@@ -30,6 +30,54 @@ let escape s =
           Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
     s;
+  Buffer.contents b
+
+(** The writer: compact JSON for [v], strings and keys through
+    {!escape}, integral numbers without a fraction, others with enough
+    digits to read back exactly. [parse (to_string v) = v]. Raises
+    [Invalid_argument] on a non-finite number, which JSON cannot
+    spell. *)
+let to_string (v : t) : string =
+  let b = Buffer.create 256 in
+  let str s =
+    Buffer.add_char b '"';
+    Buffer.add_string b (escape s);
+    Buffer.add_char b '"'
+  in
+  let seq f = function
+    | [] -> ()
+    | x :: xs ->
+        f x;
+        List.iter
+          (fun x ->
+            Buffer.add_char b ',';
+            f x)
+          xs
+  in
+  let rec go = function
+    | Null -> Buffer.add_string b "null"
+    | Bool v -> Buffer.add_string b (string_of_bool v)
+    | Num f when not (Float.is_finite f) ->
+        invalid_arg "Bjson.to_string: non-finite number"
+    | Num f when Float.is_integer f && Float.abs f < 1e15 ->
+        Buffer.add_string b (Printf.sprintf "%.0f" f)
+    | Num f -> Buffer.add_string b (Printf.sprintf "%.17g" f)
+    | Str s -> str s
+    | List l ->
+        Buffer.add_char b '[';
+        seq go l;
+        Buffer.add_char b ']'
+    | Obj kvs ->
+        Buffer.add_char b '{';
+        seq
+          (fun (k, v) ->
+            str k;
+            Buffer.add_char b ':';
+            go v)
+          kvs;
+        Buffer.add_char b '}'
+  in
+  go v;
   Buffer.contents b
 
 let parse (s : string) : t =

@@ -4,7 +4,8 @@
     kind of damaged entry (truncated, bit-flipped, version-bumped,
     undecodable) degrades to recomputation with a one-line diagnostic,
     never to a crash, mirroring how [Replay.Log.Corrupt] gates damaged
-    replay logs. *)
+    replay logs. The pipeline cases run a small racy program and two
+    benchmarks (water, radix); the stage sink must see every stage. *)
 
 module A = Ancache
 
@@ -188,49 +189,82 @@ let analysis_digest (an : Chimera.Pipeline.analysis) =
     Fmt.str "%a" Lockopt.pp_explain an.an_lockopt,
     Minic.Pretty.program_to_string an.an_instrumented )
 
-let analyze ~cache ~log src =
-  Chimera.Pipeline.analyze ~profile_runs:4 ~cache
-    ~cache_log:(fun m -> log := m :: !log)
-    (Minic.Parser.parse ~file:"cache-test.mc" src)
+(* a pipeline input: its cache tag, the program, its profile io *)
+type input = {
+  tag : string;
+  prog : Minic.Ast.program;
+  profile_io : (int -> Interp.Iomodel.t) option;
+}
 
-let logged log needle =
-  List.exists
-    (fun m ->
-      let nh = String.length m and nn = String.length needle in
-      let rec go i =
-        i + nn <= nh && (String.sub m i nn = needle || go (i + 1))
-      in
-      nn = 0 || go 0)
-    !log
+let racy_input =
+  {
+    tag = "default";
+    prog = Minic.Parser.parse ~file:"cache-test.mc" racy_src;
+    profile_io = None;
+  }
+
+let bench_input name =
+  let b = Bench_progs.Registry.by_name name in
+  {
+    tag = name;
+    prog =
+      Minic.Parser.parse ~file:name
+        (b.b_source ~workers:4 ~scale:b.b_eval_scale);
+    profile_io =
+      Some (fun i -> b.b_io ~seed:(100 + i) ~scale:b.b_profile_scale);
+  }
+
+let analyze ?stage_sink ?cache ?(log = ref []) inp =
+  Chimera.Pipeline.analyze ~profile_runs:4 ?profile_io:inp.profile_io ?cache
+    ~cache_tag:inp.tag ?stage_sink
+    ~cache_log:(fun m -> log := m :: !log)
+    inp.prog
+
+let logged log needle = List.exists (fun m -> Testutil.contains m needle) !log
 
 let test_pipeline_warm_identical () =
   with_store @@ fun c ->
-  let log = ref [] in
-  let cold = analyze ~cache:c ~log racy_src in
-  Alcotest.(check bool) "cold run logs a miss" true (logged log "miss");
-  Alcotest.(check int) "cold run stored one entry" 1 (A.stats c).A.st_entries;
-  log := [];
-  let warm = analyze ~cache:c ~log racy_src in
-  Alcotest.(check bool) "warm run logs a hit" true (logged log "hit");
-  Alcotest.(check bool) "warm analysis is identical to cold" true
-    (analysis_digest cold = analysis_digest warm);
-  (* the cached plan instruments to a program that still runs *)
-  let o =
-    Chimera.Runner.deterministic
-      ~config:{ Interp.Engine.default_config with seed = 3; cores = 4 }
-      ~io:(Interp.Iomodel.random ~seed:7) warm.an_instrumented
-  in
-  Alcotest.(check bool) "cached analysis executes" true (o.o_outputs <> [])
-
-let test_pipeline_damaged_fallback () =
+  let inputs = [ racy_input; bench_input "water"; bench_input "radix" ] in
   List.iter
-    (fun (what, mangle, _) ->
-      with_store @@ fun c ->
+    (fun inp ->
       let log = ref [] in
-      let cold = analyze ~cache:c ~log racy_src in
-      damage_entry c mangle;
+      let cold = analyze ~cache:c ~log inp in
+      Alcotest.(check bool) (inp.tag ^ ": cold run logs a miss") true
+        (logged log "miss");
       log := [];
-      let again = analyze ~cache:c ~log racy_src in
+      let warm = analyze ~cache:c ~log inp in
+      Alcotest.(check bool) (inp.tag ^ ": warm run logs a hit") true
+        (logged log "hit");
+      Alcotest.(check bool)
+        (inp.tag ^ ": warm analysis is identical to cold")
+        true
+        (analysis_digest cold = analysis_digest warm);
+      if inp == racy_input then begin
+        (* the cached plan instruments to a program that still runs *)
+        let o =
+          Chimera.Runner.deterministic
+            ~config:{ Interp.Engine.default_config with seed = 3; cores = 4 }
+            ~io:(Interp.Iomodel.random ~seed:7) warm.an_instrumented
+        in
+        Alcotest.(check bool) "cached analysis executes" true
+          (o.o_outputs <> [])
+      end)
+    inputs;
+  Alcotest.(check int) "one entry per program" (List.length inputs)
+    (A.stats c).A.st_entries
+
+(* every damage shape on the racy program, and one each on two
+   benchmarks' much larger entries *)
+let test_pipeline_damaged_fallback () =
+  let shape name = List.find (fun (w, _, _) -> w = name) damaged_cases in
+  List.iter
+    (fun (inp, (what, mangle, _)) ->
+      let what = inp.tag ^ ": " ^ what in
+      with_store @@ fun c ->
+      let cold = analyze ~cache:c inp in
+      damage_entry c mangle;
+      let log = ref [] in
+      let again = analyze ~cache:c ~log inp in
       Alcotest.(check bool)
         (what ^ ": recompute matches the original analysis")
         true
@@ -238,40 +272,56 @@ let test_pipeline_damaged_fallback () =
       Alcotest.(check bool) (what ^ ": a warning was logged") true
         (logged log "warning:");
       (* the damaged entry was overwritten: the next run hits *)
-      log := [];
-      ignore (analyze ~cache:c ~log racy_src);
+      let log = ref [] in
+      ignore (analyze ~cache:c ~log inp);
       Alcotest.(check bool) (what ^ ": entry healed, next run hits") true
         (logged log "hit"))
-    damaged_cases
+    (List.map (fun d -> (racy_input, d)) damaged_cases
+    @ [
+        (bench_input "water", shape "truncated payload");
+        (bench_input "radix", shape "foreign magic");
+      ])
+
+(* the per-stage timing sink sees every stage of the pipeline *)
+let test_pipeline_stage_sink () =
+  let stages = ref [] in
+  ignore
+    (analyze
+       ~stage_sink:(fun s dt -> stages := (s, dt) :: !stages)
+       (bench_input "radix"));
+  List.iter
+    (fun s ->
+      Alcotest.(check bool)
+        (Fmt.str "stage %S reported with a sane time" s)
+        true
+        (match List.assoc_opt s !stages with
+        | Some dt -> dt >= 0.
+        | None -> false))
+    [ "pointer"; "relay"; "mhp"; "profile"; "plan"; "lockopt" ]
 
 let test_pipeline_undecodable_payload () =
   (* a well-formed entry (header + checksum intact) whose payload is not
      a marshalled analysis: the unmarshal guard must recompute *)
   with_store @@ fun c ->
-  let log = ref [] in
-  let cold = analyze ~cache:c ~log racy_src in
-  let prog =
-    Minic.Typecheck.check (Minic.Parser.parse ~file:"cache-test.mc" racy_src)
-  in
+  let cold = analyze ~cache:c racy_input in
   let key =
     Chimera.Pipeline.cache_key ~opts:Instrument.Plan.all_opts ~profile_runs:4
       ~profile_config:Interp.Engine.default_config ~mhp:true ~lockopt:true
-      ~cache_tag:"default" prog
+      ~cache_tag:"default"
+      (Minic.Typecheck.check racy_input.prog)
   in
   Alcotest.(check bool) "test recomputes the pipeline's key" true
     (match A.find c ~key with Ok _ -> true | Error _ -> false);
   ignore (A.put c ~key "not a marshalled analysis");
-  log := [];
-  let again = analyze ~cache:c ~log racy_src in
+  let log = ref [] in
+  let again = analyze ~cache:c ~log racy_input in
   Alcotest.(check bool) "undecodable payload recomputes" true
     (analysis_digest cold = analysis_digest again);
   Alcotest.(check bool) "undecodable payload warns" true
     (logged log "undecodable")
 
 let test_cache_key_sensitivity () =
-  let prog =
-    Minic.Typecheck.check (Minic.Parser.parse ~file:"cache-test.mc" racy_src)
-  in
+  let prog = Minic.Typecheck.check racy_input.prog in
   let key ?(opts = Instrument.Plan.all_opts) ?(profile_runs = 4)
       ?(mhp = true) ?(lockopt = true) ?(cache_tag = "default") () =
     Chimera.Pipeline.cache_key ~opts ~profile_runs
@@ -308,6 +358,8 @@ let suite =
       test_pipeline_damaged_fallback;
     Alcotest.test_case "pipeline: undecodable payload falls back" `Quick
       test_pipeline_undecodable_payload;
+    Alcotest.test_case "pipeline: stage sink covers every stage" `Quick
+      test_pipeline_stage_sink;
     Alcotest.test_case "cache_key sensitivity" `Quick
       test_cache_key_sensitivity;
   ]

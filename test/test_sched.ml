@@ -1,7 +1,8 @@
 (** Scheduler: per-strategy record==replay pins on contended generated
-    programs — the default strategy shares the golden-counter pin with
-    the rest of the suite; pct and storm exercise the denser weak-timeout
-    sweep and the forced releases it fires. *)
+    programs and on every benchmark — the default strategy shares the
+    golden-counter pin with the rest of the suite; pct and storm
+    exercise the denser weak-timeout sweep and the forced releases it
+    fires. *)
 
 open Interp
 
@@ -38,6 +39,51 @@ let prop_strategy strategy =
                 Chimera.Runner.pp_divergence d)
         [ 4; 17 ])
 
+(* The one known replay stall: radix under storm (4 workers, 4 cores,
+   eval scale) records to completion, but its monolithic replay stalls
+   with ~22 threads stuck, for every record seed and replay seed tried
+   (ROADMAP, defects). The pin asserts the stall, so a fix must flip
+   it. *)
+let known_stalls = [ ("radix", Engine.Sstorm) ]
+
+(* Every benchmark under every strategy: each recording completes and
+   its replay at a distant seed reproduces it *)
+let test_benches_replay () =
+  List.iter
+    (fun (b : Bench_progs.Registry.bench) ->
+      let an =
+        Chimera.Pipeline.analyze ~profile_runs:6
+          ~profile_io:(fun i -> b.b_io ~seed:(100 + i) ~scale:b.b_profile_scale)
+          (Minic.Parser.parse ~file:b.b_name
+             (b.b_source ~workers:4 ~scale:b.b_eval_scale))
+      in
+      let io = b.b_io ~seed:42 ~scale:b.b_eval_scale in
+      List.iter
+        (fun strategy ->
+          let what = b.b_name ^ "/" ^ Engine.strategy_name strategy in
+          let config =
+            { Engine.default_config with seed = 1; cores = 4; strategy }
+          in
+          let r = Chimera.Runner.record ~config ~io an.an_instrumented in
+          let rp =
+            Chimera.Runner.replay
+              ~config:{ config with seed = config.seed + 7919 }
+              ~io an.an_instrumented r.rc_log
+          in
+          if List.mem (b.b_name, strategy) known_stalls then begin
+            Alcotest.(check bool) (what ^ ": recording completes") false
+              r.rc_outcome.o_timed_out;
+            Alcotest.(check bool) (what ^ ": known replay stall still stalls")
+              true rp.o_timed_out
+          end
+          else
+            match Chimera.Runner.same_execution r.rc_outcome rp with
+            | Ok () -> ()
+            | Error d ->
+                Alcotest.failf "%s: %a" what Chimera.Runner.pp_divergence d)
+        Engine.all_strategies)
+    Bench_progs.Registry.all
+
 let rand () =
   match Sys.getenv_opt "QCHECK_SEED" with
   | Some s -> Random.State.make [| int_of_string s |]
@@ -47,3 +93,7 @@ let suite =
   List.map
     (fun s -> QCheck_alcotest.to_alcotest ~rand:(rand ()) (prop_strategy s))
     Engine.all_strategies
+  @ [
+      Alcotest.test_case "benches: record==replay under every strategy"
+        `Slow test_benches_replay;
+    ]

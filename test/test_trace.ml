@@ -1,7 +1,8 @@
 (** Tests for the runtime observability layer ([lib/trace]): sink ring
     buffers, metric aggregation, Chrome-trace export, the stable-stream
-    divergence diagnostic, and the end-to-end pin that a traced record
-    and its traced replay emit identical stable event streams. *)
+    divergence diagnostic, and the end-to-end pin, on three programs,
+    that a traced record and its traced replay emit identical stable
+    event streams while the trace costs the run nothing. *)
 
 open Runtime
 
@@ -228,89 +229,23 @@ let test_divergence_earliest () =
   | Some d -> Alcotest.(check (list int)) "earliest step wins" [ 1 ] d.Trace.dv_tp
 
 (* ------------------------------------------------------------------ *)
-(* End-to-end: traced execution *)
+(* End-to-end: traced execution, over a list of inputs *)
 
-let racy_src =
-  "int counter = 0;\n\
-   void w(int *u) {\n\
-  \  int i; int tmp;\n\
-  \  for (i = 0; i < 40; i++) { tmp = counter; counter = tmp + 1; }\n\
-   }\n\
-   int main() { int t1; int t2;\n\
-  \  t1 = spawn(w, &counter); t2 = spawn(w, &counter);\n\
-  \  join(t1); join(t2);\n\
-  \  output(counter);\n\
-  \  return 0; }\n"
+let racy_src ~threads ~iters =
+  let ts = List.init threads (fun i -> Fmt.str "t%d" i) in
+  let each f = String.concat " " (List.map f ts) in
+  Fmt.str
+    "int counter = 0;\n\
+     void w(int *u) {\n\
+    \  int i; int tmp;\n\
+    \  for (i = 0; i < %d; i++) { tmp = counter; counter = tmp + 1; }\n\
+     }\n\
+     int main() { %s\n  %s\n  %s\n  output(counter);\n  return 0; }\n"
+    iters
+    (each (Fmt.str "int %s;"))
+    (each (Fmt.str "%s = spawn(w, &counter);"))
+    (each (Fmt.str "join(%s);"))
 
-let analysis = lazy (
-  Chimera.Pipeline.analyze_source ~profile_runs:4
-    ~profile_io:(fun i -> Interp.Iomodel.random ~seed:(100 + i))
-    ~file:"racy.mc" racy_src)
-
-let eval_config seed = { Interp.Engine.default_config with seed; cores = 4 }
-let io = Interp.Iomodel.random ~seed:42
-
-(* the acceptance pin: with tracing enabled, record and replay of the
-   same run produce identical stable event streams *)
-let test_record_replay_streams_identical () =
-  let an = Lazy.force analysis in
-  let rec_sink = Trace.Sink.create () in
-  let r =
-    Chimera.Runner.record ~config:(eval_config 1) ~sink:rec_sink ~io
-      an.Chimera.Pipeline.an_instrumented
-  in
-  let rep_sink = Trace.Sink.create () in
-  let o =
-    Chimera.Runner.replay ~config:(eval_config 23) ~sink:rep_sink ~io
-      an.Chimera.Pipeline.an_instrumented r.rc_log
-  in
-  (match Chimera.Runner.same_execution r.rc_outcome o with
-  | Ok () -> ()
-  | Error d -> Alcotest.failf "replay diverged: %a" Chimera.Runner.pp_divergence d);
-  let recorded = Trace.Sink.events rec_sink in
-  let replayed = Trace.Sink.events rep_sink in
-  Alcotest.(check bool) "trace nonempty" true (recorded <> []);
-  Alcotest.(check bool) "weak activity traced" true
-    (List.exists
-       (fun e ->
-         match e.Trace.ev_kind with Trace.Weak_acquire _ -> true | _ -> false)
-       recorded);
-  (match Trace.first_divergence ~recorded ~replayed with
-  | None -> ()
-  | Some d ->
-      Alcotest.failf "stable streams diverged: %a" Trace.pp_divergence d);
-  (* stronger than first_divergence = None: the stable streams are
-     elementwise equal *)
-  let stable evs = List.filter (fun e -> Trace.stable e.Trace.ev_kind) evs in
-  Alcotest.(check bool) "stable streams elementwise equal" true
-    (stable recorded = stable replayed)
-
-(* tracing must be free: a traced record is byte-identical to an
-   untraced one (same outcome, ticks included, same logs) *)
-let test_tracing_is_free () =
-  let an = Lazy.force analysis in
-  let plain =
-    Chimera.Runner.record ~config:(eval_config 5) ~io
-      an.Chimera.Pipeline.an_instrumented
-  in
-  let traced =
-    Chimera.Runner.record ~config:(eval_config 5) ~sink:(Trace.Sink.create ())
-      ~io an.Chimera.Pipeline.an_instrumented
-  in
-  (match Chimera.Runner.same_execution plain.rc_outcome traced.rc_outcome with
-  | Ok () -> ()
-  | Error d ->
-      Alcotest.failf "tracing perturbed the run: %a"
-        Chimera.Runner.pp_divergence d);
-  Alcotest.(check int) "identical ticks" plain.rc_outcome.o_ticks
-    traced.rc_outcome.o_ticks;
-  Alcotest.(check string) "identical order log"
-    (Replay.Log.encode_order_log plain.rc_log)
-    (Replay.Log.encode_order_log traced.rc_log)
-
-(* the divergence diagnostic on a damaged log: record an input-driven
-   program, corrupt the recorded input values, and require the
-   diagnostic to name a concrete first diverging event *)
 let input_driven_src =
   "int main() { int n; int i; int s; int x;\n\
   \  s = 0;\n\
@@ -319,25 +254,140 @@ let input_driven_src =
   \  output(s);\n\
   \  return 0; }\n"
 
+let analyze ~file src =
+  Chimera.Pipeline.analyze_source ~profile_runs:4
+    ~profile_io:(fun i -> Interp.Iomodel.random ~seed:(100 + i))
+    ~file src
+
+let stream_io seed =
+  Interp.Iomodel.stream ~seed ~chunks:2 ~chunk_size:4 ~input_range:6
+
+(* (name, instrumented program, io model): two racy counters, and a
+   program whose control flow follows its recorded inputs *)
+let inputs =
+  lazy
+    (List.map
+       (fun (name, file, src, io) ->
+         (name, (analyze ~file src).Chimera.Pipeline.an_instrumented, io))
+       [
+         ( "racy counter",
+           "racy.mc",
+           racy_src ~threads:2 ~iters:40,
+           Interp.Iomodel.random ~seed:42 );
+         ( "racy counter, 3 threads",
+           "racy3.mc",
+           racy_src ~threads:3 ~iters:60,
+           Interp.Iomodel.random ~seed:7 );
+         ("input-driven", "inputs.mc", input_driven_src, stream_io 3);
+       ])
+
+let eval_config seed = { Interp.Engine.default_config with seed; cores = 4 }
+
+(* the acceptance pin: with tracing enabled, record and replay of the
+   same run produce identical stable event streams; the recorded trace
+   also exports as well-formed Chrome JSON and renders as a report *)
+let test_record_replay_streams_identical () =
+  List.iter
+    (fun (name, prog, io) ->
+      let rec_sink = Trace.Sink.create () in
+      let r =
+        Chimera.Runner.record ~config:(eval_config 1) ~sink:rec_sink ~io prog
+      in
+      let recorded = Trace.Sink.events rec_sink in
+      Alcotest.(check bool) (name ^ ": trace nonempty") true (recorded <> []);
+      if String.starts_with ~prefix:"racy" name then
+        Alcotest.(check bool) (name ^ ": weak activity traced") true
+          (List.exists
+             (fun e ->
+               match e.Trace.ev_kind with
+               | Trace.Weak_acquire _ -> true
+               | _ -> false)
+             recorded);
+      List.iter
+        (fun seed ->
+          let rep_sink = Trace.Sink.create () in
+          let o =
+            Chimera.Runner.replay ~config:(eval_config seed) ~sink:rep_sink
+              ~io prog r.rc_log
+          in
+          (match Chimera.Runner.same_execution r.rc_outcome o with
+          | Ok () -> ()
+          | Error d ->
+              Alcotest.failf "%s: replay diverged: %a" name
+                Chimera.Runner.pp_divergence d);
+          let replayed = Trace.Sink.events rep_sink in
+          (match Trace.first_divergence ~recorded ~replayed with
+          | None -> ()
+          | Some d ->
+              Alcotest.failf "%s: stable streams diverged: %a" name
+                Trace.pp_divergence d);
+          (* stronger than first_divergence = None: the stable streams
+             are elementwise equal *)
+          let stable evs =
+            List.filter (fun e -> Trace.stable e.Trace.ev_kind) evs
+          in
+          Alcotest.(check bool)
+            (Fmt.str "%s: stable streams elementwise equal (replay seed %d)"
+               name seed)
+            true
+            (stable recorded = stable replayed))
+        [ 23; 42 ];
+      (match Bjson.parse (Trace.to_chrome recorded) with
+      | _ -> ()
+      | exception Bjson.Bad m ->
+          Alcotest.failf "%s: chrome export is not JSON: %s" name m);
+      let su =
+        Trace.summarize ~dropped:(Trace.Sink.dropped rec_sink) recorded
+      in
+      Alcotest.(check bool) (name ^ ": text report renders") true
+        (String.length (Fmt.str "@[<v>%a@]" (Trace.pp_report ~top:5) su) > 0))
+    (Lazy.force inputs)
+
+(* tracing must be free: a traced record is byte-identical to an
+   untraced one (same outcome, ticks included, same logs) *)
+let test_tracing_is_free () =
+  List.iter
+    (fun (name, prog, io) ->
+      List.iter
+        (fun seed ->
+          let plain =
+            Chimera.Runner.record ~config:(eval_config seed) ~io prog
+          in
+          let traced =
+            Chimera.Runner.record ~config:(eval_config seed)
+              ~sink:(Trace.Sink.create ()) ~io prog
+          in
+          (match
+             Chimera.Runner.same_execution plain.rc_outcome traced.rc_outcome
+           with
+          | Ok () -> ()
+          | Error d ->
+              Alcotest.failf "%s: tracing perturbed the run: %a" name
+                Chimera.Runner.pp_divergence d);
+          Alcotest.(check int) (name ^ ": identical ticks")
+            plain.rc_outcome.o_ticks traced.rc_outcome.o_ticks;
+          Alcotest.(check string) (name ^ ": identical order log")
+            (Replay.Log.encode_order_log plain.rc_log)
+            (Replay.Log.encode_order_log traced.rc_log);
+          Alcotest.(check string) (name ^ ": identical input log")
+            (Replay.Log.encode_input_log plain.rc_log)
+            (Replay.Log.encode_input_log traced.rc_log))
+        [ 1; 5 ])
+    (Lazy.force inputs)
+
+(* the divergence diagnostic on a damaged log: record the input-driven
+   program, corrupt the recorded input values, and require the
+   diagnostic to name a concrete first diverging event *)
 let test_diagnostic_on_corrupt_log () =
-  let an =
-    Chimera.Pipeline.analyze_source ~profile_runs:2
-      ~profile_io:(fun i ->
-        Interp.Iomodel.stream ~seed:(100 + i) ~chunks:2 ~chunk_size:4
-          ~input_range:6)
-      ~file:"inputs.mc" input_driven_src
+  let _, prog, _ =
+    List.find (fun (n, _, _) -> n = "input-driven") (Lazy.force inputs)
   in
-  let io =
-    Interp.Iomodel.stream ~seed:9 ~chunks:2 ~chunk_size:4 ~input_range:6
-  in
-  let r =
-    Chimera.Runner.record ~config:(eval_config 2) ~io
-      an.Chimera.Pipeline.an_instrumented
-  in
+  let io = stream_io 9 in
+  let r = Chimera.Runner.record ~config:(eval_config 2) ~io prog in
   (* sanity: on the intact log the diagnostic reports agreement *)
   Alcotest.(check bool) "intact log: streams agree" true
-    (Chimera.Runner.first_trace_divergence ~config:(eval_config 2) ~io
-       an.Chimera.Pipeline.an_instrumented r.rc_log
+    (Chimera.Runner.first_trace_divergence ~config:(eval_config 2) ~io prog
+       r.rc_log
     = None);
   (* damage every recorded input value: the replayed main thread now
      runs the loop a different number of times, so its stable stream
@@ -347,8 +397,7 @@ let test_diagnostic_on_corrupt_log () =
     (fun _ bursts -> bursts := List.map (List.map (fun v -> v + 1)) !bursts)
     log.inputs;
   match
-    Chimera.Runner.first_trace_divergence ~config:(eval_config 2) ~io
-      an.Chimera.Pipeline.an_instrumented log
+    Chimera.Runner.first_trace_divergence ~config:(eval_config 2) ~io prog log
   with
   | None -> Alcotest.fail "diagnostic missed the corrupted log"
   | Some d ->
