@@ -335,8 +335,11 @@ let print_outcome (o : Interp.Engine.outcome) =
   List.iter
     (fun (p, m) -> Fmt.epr "fault in %a: %s@." Runtime.Key.pp_tid_path p m)
     o.o_faults;
-  Fmt.epr "[%d simulated ticks, %d statements, %d threads]@." o.o_ticks
-    o.o_stats.n_stmts
+  let st = o.o_stats in
+  Fmt.epr
+    "[%d simulated ticks (%d scheduler iterations, %d idle ticks skipped, %d \
+     blocked ticks jumped), %d statements, %d threads]@."
+    o.o_ticks st.n_sched_iters st.n_ticks_skipped st.n_ticks_jumped st.n_stmts
     (List.length o.o_steps)
 
 let run_cmd =

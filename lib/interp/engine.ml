@@ -171,6 +171,12 @@ type stats = {
   mutable log_ticks_weak : int;
   mutable log_ticks_input : int;
   mutable weak_op_ticks : int;     (** acquire/release + range eval cost *)
+  mutable n_sched_iters : int;     (** scheduler loop iterations: one tick each *)
+  mutable n_ticks_skipped : int;   (** ticks advanced in idle spans *)
+  mutable n_ticks_jumped : int;
+      (** ticks advanced while every thread was blocked (the jump to the
+          next wake-up, deterministic mode's [+16]); with the two fields
+          above, they add up to the run's ticks *)
 }
 
 let new_stats () =
@@ -188,6 +194,9 @@ let new_stats () =
     log_ticks_weak = 0;
     log_ticks_input = 0;
     weak_op_ticks = 0;
+    n_sched_iters = 0;
+    n_ticks_skipped = 0;
+    n_ticks_jumped = 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -309,6 +318,7 @@ type t = {
   mutable n_bio : int;  (** threads currently [Blocked (BIO _)] *)
   mutable n_bturn : int;  (** threads currently [Blocked (BTurn _)] *)
   mutable n_breacq : int;  (** threads currently [Blocked BReacq] *)
+  mutable n_bweak : int;  (** threads currently [Blocked (BWeak _)] *)
   mutable n_reacq : int;  (** threads with a nonempty [reacquire] list *)
   mutable phases : Phases.t option;
       (** per-phase wall-clock attribution; [None] (the default) reads
@@ -369,8 +379,8 @@ let sched_count eng (th : thread) d =
   | Blocked BReacq -> eng.n_breacq <- eng.n_breacq + d
   | Blocked (BIO _) -> eng.n_bio <- eng.n_bio + d
   | Blocked (BTurn _) -> eng.n_bturn <- eng.n_bturn + d
-  | Runnable | Done
-  | Blocked (BWeak _ | BMutex _ | BBarrier _ | BCond _ | BJoin _) ->
+  | Blocked (BWeak _) -> eng.n_bweak <- eng.n_bweak + d
+  | Runnable | Done | Blocked (BMutex _ | BBarrier _ | BCond _ | BJoin _) ->
       ()
 
 let set_status eng (th : thread) (st : status) =
@@ -1929,11 +1939,15 @@ let start_thread eng (th : thread) (body : unit -> unit) =
                   th.stall <- max 0 (cost - 1);
                   th.resume <- Some k;
                   (* apply pending forced releases at this step boundary *)
-                  List.iter (fun l -> apply_forced_release eng th l) th.force_now;
-                  th.force_now <- [];
+                  if th.force_now <> [] then begin
+                    List.iter
+                      (fun l -> apply_forced_release eng th l)
+                      th.force_now;
+                    th.force_now <- []
+                  end;
                   (* replayed forced events keyed by step count *)
                   (match eng.replayer with
-                  | Some r -> (
+                  | Some r when Replay.Replayer.has_forced r -> (
                       match
                         Replay.Replayer.pending_forced r th.path
                           ~steps:th.steps ~acqs:th.weak_acqs
@@ -1941,7 +1955,7 @@ let start_thread eng (th : thread) (body : unit -> unit) =
                       with
                       | Some lock -> apply_forced_release eng th lock
                       | None -> ())
-                  | None -> ()))
+                  | Some _ | None -> ()))
           | E_block ->
               Some
                 (fun (k : (a, unit) Effect.Deep.continuation) ->
@@ -2207,7 +2221,7 @@ let check_weak_timeouts eng =
 
 let can_run (th : thread) = th.status = Runnable
 
-(* one scheduling tick for core [c] *)
+(* one scheduling tick for core [c]; true when it resumed a thread *)
 let tick_core eng c =
   let q = eng.queues.(c) in
   (* PCT: bring the highest-priority runnable thread to the head before
@@ -2269,9 +2283,11 @@ let tick_core eng c =
             stolen.core <- c;
             q := [ stolen ]
         | [] -> ()
-      end
+      end;
+      false
   | Some th ->
-      if th.stall > 0 then th.stall <- th.stall - 1
+      let resumes = th.stall = 0 in
+      if not resumes then th.stall <- th.stall - 1
       else begin
         (* left off the phase clock: its two reads per core-tick would
            cost more than this update of the core's open segment *)
@@ -2301,7 +2317,120 @@ let tick_core eng c =
         match !q with
         | head :: rest when rest <> [] -> q := rest @ [ head ]
         | _ -> ()
-      end
+      end;
+      resumes
+
+(* ------------------------------------------------------------------ *)
+(* Idle spans.
+
+   On a server most ticks only count down the running thread's syscall
+   or weak-lock charge ([stall]) while the other cores sit empty. The
+   run loop advances such a span in one step instead of one iteration
+   per tick, and stays exact: ticks, the rng stream, logs and outputs
+   are those of the per-tick path, which remains the only executor of
+   ticks that do anything. *)
+
+(** Earliest IO completion tick and earliest weak-lock timeout deadline
+    ([blocked_since + timeout + 1], the first tick at which a sweep may
+    expire the waiter) over the blocked threads; [max_int] for none. *)
+let next_wakes eng =
+  let io = ref max_int and weak = ref max_int in
+  Hashtbl.iter
+    (fun _ (th : thread) ->
+      match th.status with
+      | Blocked (BIO t) -> if t < !io then io := t
+      | Blocked (BWeak _ | BReacq) ->
+          let d = th.blocked_since + effective_weak_timeout eng + 1 in
+          if d < !weak then weak := d
+      | _ -> ())
+    eng.threads;
+  (!io, !weak)
+
+(* the smallest multiple of [mask + 1] at or after [t] *)
+let at_or_after ~mask t = (t + mask) land lnot mask
+
+(* PCT keeps a runnable head when no later runnable entry outranks it *)
+let pct_keeps_head eng (head : thread) rest =
+  let p = pct_prio eng head.tid in
+  List.for_all
+    (fun (t : thread) -> (not (can_run t)) || pct_prio eng t.tid <= p)
+    rest
+
+(** Number of ticks after [eng.ticks] in which the per-tick path would
+    only draw the start core, count down each queue head's [stall] and
+    each busy core's quantum: no head resumes, no quantum expires, no
+    empty core steals, PCT keeps every head, and no maintenance pass or
+    timeout sweep that could act falls inside. A thread woken before its
+    stale queue entry was cleaned heads two queues and counts down once
+    per queue, so its stall is shared among the queues it heads. 0 when
+    the next tick is not idle. *)
+let idle_span eng =
+  let cores = eng.cfg.cores and t0 = eng.ticks in
+  let k = ref (eng.cfg.max_ticks - 1 - t0) in
+  let empty = ref false and multi = ref false and busy = ref false in
+  for c = 0 to cores - 1 do
+    match !(eng.queues.(c)) with
+    | [] -> empty := true
+    | th :: rest ->
+        busy := true;
+        if rest != [] then multi := true;
+        if
+          (not (can_run th))
+          || (eng.cfg.strategy = Spct && not (pct_keeps_head eng th rest))
+        then k := 0
+        else begin
+          let m = ref 0 in
+          for c' = 0 to cores - 1 do
+            match !(eng.queues.(c')) with
+            | h :: _ when h == th -> incr m
+            | _ -> ()
+          done;
+          k := min !k (min (th.stall / !m) (eng.quanta.(c) - 1))
+        end
+  done;
+  (* an empty core steals from any queue of two; all-empty is the
+     blocked fast-forward's case *)
+  if !k <= 0 || (!multi && !empty) || not !busy then 0
+  else begin
+    (* the span ends before [tick] *)
+    let ends_before tick = k := min !k (tick - 1 - t0) in
+    if
+      eng.n_bturn > 0 || eng.n_breacq > 0 || eng.n_reacq > 0
+      || match eng.replayer with
+         | Some r -> Replay.Replayer.has_forced r
+         | None -> false
+    then ends_before (at_or_after ~mask:15 (t0 + 1));
+    (* a [BReacq] waiter's deadline needs no scan: the bound above
+       already ends the span before the next maintenance tick, and
+       sweep ticks are maintenance ticks *)
+    let sweeps = eng.replayer = None && not (det_mode eng) in
+    if eng.n_bio > 0 || (sweeps && eng.n_bweak > 0) then begin
+      let io, weak = next_wakes eng in
+      if io < max_int then ends_before (at_or_after ~mask:15 (max io (t0 + 1)));
+      if sweeps && weak < max_int then
+        ends_before
+          (at_or_after ~mask:(weak_sweep_mask eng) (max weak (t0 + 1)))
+    end;
+    !k
+  end
+
+(* Advance [k] idle ticks in one step, exactly as [k] runs of the
+   per-tick path would: one start-core draw per tick, and every queue
+   head's stall and busy core's quantum counted down by [k]. *)
+let skip_idle eng k =
+  for _ = 1 to k do
+    ignore (rng_next eng)
+  done;
+  eng.ticks <- eng.ticks + k;
+  Array.iteri
+    (fun c q ->
+      match !q with
+      | (th : thread) :: _ ->
+          th.stall <- th.stall - k;
+          eng.quanta.(c) <- eng.quanta.(c) - k
+      | [] -> ())
+    eng.queues;
+  eng.stats.n_ticks_skipped <- eng.stats.n_ticks_skipped + k
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoints: a digest pin of the engine state *)
@@ -2402,6 +2531,7 @@ let make_engine ?(config = default_config) ?(hooks = no_hooks ()) ?sink
       n_bio = 0;
       n_bturn = 0;
       n_breacq = 0;
+      n_bweak = 0;
       n_reacq = 0;
       phases;
     }
@@ -2443,6 +2573,10 @@ let run_engine (eng : t) : outcome =
      forced release per timeout deadline, so a single fruitless round is
      not yet a deadlock *)
   let stuck_rounds = ref 0 in
+  (* whether the last tick resumed a thread: the idle-span skip is tried
+     only after a tick that did not, so compute-bound runs never pay
+     for it *)
+  let resumed = ref true in
   (* ends the scheduling loop; private, so that an [Exit] escaping a
      thread propagates like any other exception *)
   let exception Halt in
@@ -2451,7 +2585,11 @@ let run_engine (eng : t) : outcome =
        eng.live > 0 && eng.exit_code = None && not eng.main_done
        && not (replay_halted eng)
      do
+       (if not !resumed then
+          let k = idle_span eng in
+          if k > 0 then skip_idle eng k);
        eng.ticks <- eng.ticks + 1;
+       eng.stats.n_sched_iters <- eng.stats.n_sched_iters + 1;
        if eng.ticks >= eng.cfg.max_ticks then begin
          timed_out := true;
          raise Halt
@@ -2471,8 +2609,9 @@ let run_engine (eng : t) : outcome =
        end;
        (* rotate the starting core each tick to vary cross-core order *)
        let start = rng_next eng mod eng.cfg.cores in
+       resumed := false;
        for i = 0 to eng.cfg.cores - 1 do
-         tick_core eng ((start + i) mod eng.cfg.cores)
+         if tick_core eng ((start + i) mod eng.cfg.cores) then resumed := true
        done;
        (* fast-forward idle periods (everything blocked on IO/turn) *)
        if
@@ -2486,24 +2625,16 @@ let run_engine (eng : t) : outcome =
               a weak-lock timeout deadline (the escape hatch that resolves
               weak-lock-vs-program-sync deadlocks, Section 2.3) *)
            let next_wake =
-             Hashtbl.fold
-               (fun _ (th : thread) acc ->
-                 let wake_at =
-                   match th.status with
-                   | Blocked (BIO t) -> t
-                   | Blocked (BWeak _ | BReacq) ->
-                       (* both resolve through the weak-lock timeout;
-                          [blocked_since + timeout] is the last tick of
-                          grace *)
-                       th.blocked_since + effective_weak_timeout eng + 1
-                   | _ -> max_int
-                 in
-                 if wake_at < acc then wake_at else acc)
-               eng.threads max_int
+             let io, weak = next_wakes eng in
+             min io weak
            in
            ph_add eng Phases.Scheduler t0;
            if next_wake < max_int then begin
-             if next_wake > eng.ticks then eng.ticks <- next_wake;
+             if next_wake > eng.ticks then begin
+               eng.stats.n_ticks_jumped <-
+                 eng.stats.n_ticks_jumped + (next_wake - eng.ticks);
+               eng.ticks <- next_wake
+             end;
              let t0 = ph_now eng in
              check_weak_timeouts eng;
              ph_add eng Phases.Weaklock t0;
@@ -2533,6 +2664,7 @@ let run_engine (eng : t) : outcome =
                 advance time and keep going — max_ticks bounds a true
                 livelock *)
              eng.ticks <- eng.ticks + 16;
+             eng.stats.n_ticks_jumped <- eng.stats.n_ticks_jumped + 16;
              maintenance eng
            end
            else begin

@@ -7,7 +7,8 @@
     gated events only (inputs, synchronization, weak-lock and
     forced-release entries). The per-core-tick schedule update is left
     off the clock, whose two reads would cost more than the update, so
-    it counts as interpreter time. Buckets are swap-free monotonic-clock
+    it counts as interpreter time; so does the idle-span skip, which
+    stands in for such ticks. Buckets are swap-free monotonic-clock
     spans around non-suspending sections only, so they never straddle a
     coroutine switch; interpreter time is what remains of the run total
     after the explicit buckets. With no [Phases.t]

@@ -87,6 +87,7 @@ type cursors = {
       (** remaining bursts, oldest first *)
   forced_by_owner :
     (Key.tid_path, (int * int * Minic.Ast.weak_lock) seq_cursor) Hashtbl.t;
+  mutable forced_left : int;  (** unconsumed entries of [forced_by_owner] *)
 }
 
 type t = {
@@ -155,6 +156,7 @@ let cursors_of_log (log : Log.t) : cursors =
     weak_cursors;
     input_cursors;
     forced_by_owner;
+    forced_left = Array.length forced;
   }
 
 (** Gated consumables in [log] — the drain counter of one segment. *)
@@ -384,16 +386,14 @@ let pending_forced (t : t) (owner : Key.tid_path) ~(steps : int) ~(acqs : int)
       match seq_peek c with
       | Some (s, a, lock) when steps >= s && acqs >= a && holds lock ->
           c.sc_pos <- c.sc_pos + 1;
+          t.cur.forced_left <- t.cur.forced_left - 1;
           consumed t;
           Some lock
       | _ -> None)
 
 (** Any forced-release event still pending in the current segment, for
     any owner. Pure: unlike {!pending_forced} this never consumes. *)
-let has_forced (t : t) : bool =
-  Hashtbl.fold
-    (fun _ c acc -> acc || seq_left c > 0)
-    t.cur.forced_by_owner false
+let has_forced (t : t) : bool = t.cur.forced_left > 0
 
 (** Human-readable dump of the first few remaining entries of every
     cursor — the deadlock-diagnosis view. *)

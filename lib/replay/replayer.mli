@@ -97,8 +97,9 @@ val pending_forced :
   Minic.Ast.weak_lock option
 
 (** Whether any forced-release event is still pending in the current
-    segment, for any owner. Never consumes — an emptiness probe for
-    gating the scheduler's forced-release maintenance pass. *)
+    segment, for any owner. Never consumes, and reads one counter — an
+    emptiness probe for gating the engine's per-step {!pending_forced}
+    lookup, its forced-release maintenance pass and its idle-span skip. *)
 val has_forced : t -> bool
 
 (** Step count of the owner's next forced event, if any. *)

@@ -26,11 +26,21 @@ let io = Interp.Iomodel.random ~seed:42
    flag [f] and only then reads [g] through [rg]; at cores=1 the
    default strategy never interleaves the guarded read with [wg], but
    storm quanta do at seeds 5 and 6. [main]'s post-join [rg] call keeps
-   the g-pair's sids covered in every cell. Cell choices verified by a
-   seed sweep; see the w/r loop-length grid in DESIGN.md section 13. *)
+   the g-pair's sids covered in every cell. Two [noise] threads spawned
+   after the joins contend on a mutex no racy access needs: the recorded
+   mutex order varies with the seed, so the default cells are distinct
+   recordings without touching the reader/writer schedule. Cell choices
+   verified by a seed sweep; see the w/r loop-length grid in DESIGN.md
+   section 13. *)
 let adv_src =
   {|int g = 0;
     int f = 0;
+    int n = 0;
+    int m;
+    void noise(int *u) {
+      int k;
+      for (k = 0; k < 8; k++) { lock(&m); n = n + 1; unlock(&m); }
+    }
     void wg(int v) { g = v; }
     int rg() { int t; t = g; return t; }
     void writer(int *u) {
@@ -51,6 +61,8 @@ let adv_src =
       w = spawn(writer, &g); r = spawn(reader, &g);
       join(w); join(r);
       i = rg(); output(i);
+      w = spawn(noise, &n); r = spawn(noise, &n);
+      join(w); join(r);
       return 0; }|}
 
 let adv_seeds = [ 1; 5; 6; 7 ]
@@ -158,10 +170,18 @@ let test_validate_rejects_corrupt_plan () =
 (* Deterministic shared-lock program: reader/writer form a
    non-concurrent clique, so both pairs share one function lock. The
    b-pair is exercised every run and never races (disjoint slots of
-   [b]); the c-pair's sids sit in dynamically dead branches. *)
+   [b]); the c-pair's sids sit in dynamically dead branches. Two [noise]
+   threads contend on a mutex no racy access needs, so the recorded
+   mutex order, and with it the gated log, varies with the schedule. *)
 let shared_src =
   {|int b[2];
     int c = 0;
+    int n = 0;
+    int m;
+    void noise(int *u) {
+      int k;
+      for (k = 0; k < 8; k++) { lock(&m); n = n + 1; unlock(&m); }
+    }
     void reader(int *u) {
       int t;
       t = b[1];
@@ -172,10 +192,12 @@ let shared_src =
       b[0] = 7;
       if (b[0] == 12345) { c = 1; }
     }
-    int main() { int r; int w;
+    int main() { int r; int w; int x; int y;
+      x = spawn(noise, &n);
+      y = spawn(noise, &n);
       r = spawn(reader, &b[0]);
       w = spawn(writer, &b[0]);
-      join(r); join(w);
+      join(r); join(w); join(x); join(y);
       return 0; }|}
 
 let observe_shared an jobs =
@@ -184,11 +206,10 @@ let observe_shared an jobs =
     ~racy_sids:an.an_report.racy_sids ~jobs ()
 
 (* Cells that give [shared_src] at least two distinct recordings on 2
-   cores, the default coverage bar. Every seed of either strategy
-   records the same gated orders; recordings differ only in the per-core
-   schedule, where how two cores' ticks interleave no longer counts
-   (default seeds 1..4 are one recording) but how long a thread runs on
-   a core does. *)
+   cores, the default coverage bar. Recordings count as distinct only
+   when their gated logs differ (the per-core schedule is not part of a
+   log's address); here the noise threads' mutex order does, at nearly
+   every seed of either strategy. *)
 let shared_seeds = [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 
 let shared_strategies = [ Interp.Engine.Sdefault; Interp.Engine.Sstorm ]
