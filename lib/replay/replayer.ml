@@ -114,6 +114,7 @@ type t = {
   weak_base : (Minic.Ast.weak_lock, int) Hashtbl.t;
       (** acquisitions of each lock in already-drained segments, so
           [cm_index] stays a position in the whole recording *)
+  mutable n_consumed : int;  (** gated events consumed over the stream *)
 }
 
 let cursors_of_log (log : Log.t) : cursors =
@@ -197,6 +198,7 @@ let rec drain_check (t : t) =
   end
 
 let consumed (t : t) =
+  t.n_consumed <- t.n_consumed + 1;
   t.remaining <- t.remaining - 1;
   if t.remaining = 0 then drain_check t
 
@@ -216,6 +218,7 @@ let of_stream (pull : unit -> Log.t option) : t =
       on_advance = (fun _ -> ());
       mismatches = [];
       weak_base = Hashtbl.create 8;
+      n_consumed = 0;
     }
   in
   drain_check t;
@@ -237,6 +240,7 @@ let of_log (log : Log.t) : t =
 let unconstrained (t : t) = t.pending = None && not t.halted
 
 let halted (t : t) = t.halted
+let consumed_events (t : t) = t.n_consumed
 let segment_index (t : t) = t.seg_index
 let segments_loaded (t : t) = t.segments_loaded
 

@@ -43,6 +43,10 @@ val segments_loaded : t -> int
 (** Segments pulled so far — a windowed replay of segments [0..m] loads
     exactly [m+1]. *)
 
+val consumed_events : t -> int
+(** Gated events consumed so far over the whole stream. It only grows,
+    so a change between two reads means replay made progress. *)
+
 (** Whose syscall comes next, globally? [None] past the end of the log
     (unconstrained). *)
 val peek_syscall : t -> Key.tid_path option
