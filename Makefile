@@ -56,7 +56,7 @@ par-check:
 
 # wall-clock phase timings of the pipeline (analyze cold + warm-cache /
 # instrument / record / replay) per benchmark, JSON on stdout
-# (schema chimera-wall-bench/2, methodology in EXPERIMENTS.md)
+# (schema chimera-wall-bench/4, methodology in EXPERIMENTS.md)
 bench-wall:
 	dune exec bench/main.exe -- wall --reps $(REPS) -j $(WALLJ)
 

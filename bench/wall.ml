@@ -27,15 +27,16 @@
     carries a {!Interp.Phases} attribution (which never perturbs the
     simulated execution — its tick count is asserted against the
     untimed runs) and lands in the JSON as [record_phases]. Results are
-    emitted as JSON (schema [chimera-wall-bench/3], documented in
+    emitted as JSON (schema [chimera-wall-bench/4], documented in
     EXPERIMENTS.md):
 
     {v
-    { "schema": "chimera-wall-bench/3",
+    { "schema": "chimera-wall-bench/4",
       "reps": 3, "workers": 4, "cores": 4, "jobs": 4,
       "benches": [
         { "name": "aget", "scale": 256,
-          "record_ticks": 123456,
+          "record_ticks": 123456, "steps": 45678,
+          "minor_words_per_step": 6.5,
           "phases": {
             "analyze":      {"mean_s": 0.41, "min_s": 0.40},
             "analyze_warm": {"mean_s": 0.002, "min_s": 0.001},
@@ -102,6 +103,10 @@ type row = {
   w_name : string;
   w_scale : int;
   w_record_ticks : int;  (** simulated ticks of the recorded run (rep 1) *)
+  w_steps : int;  (** simulated steps of that run, over all threads *)
+  w_words_per_step : float;
+      (** minor-heap words [Runner.record] allocated per step in that run:
+          exact and repeatable in a single-domain run *)
   w_analyze : phase;  (** cold: no cache *)
   w_analyze_warm : phase;  (** cache hit on a populated store *)
   w_stages : (string * float) list;  (** mean seconds per static stage *)
@@ -132,7 +137,7 @@ let measure_wall ?(workers = 4) ?(cores = 4) ?pool ~reps
   let profile_io i = b.b_io ~seed:(100 + i) ~scale:b.b_profile_scale in
   let analyze_s = ref [] and instr_s = ref [] in
   let record_s = ref [] and replay_s = ref [] in
-  let record_ticks = ref 0 in
+  let record_ticks = ref 0 and steps = ref 0 and words = ref 0. in
   let stage_total : (string, float) Hashtbl.t = Hashtbl.create 8 in
   let stage_sink name dt =
     Hashtbl.replace stage_total name
@@ -152,9 +157,11 @@ let measure_wall ?(workers = 4) ?(cores = 4) ?pool ~reps
           Instrument.Transform.apply an.Chimera.Pipeline.an_prog
             an.Chimera.Pipeline.an_plan)
     in
+    let w0 = Gc.minor_words () in
     let r, t_rec =
       timed (fun () -> Chimera.Runner.record ~config ~io an.an_instrumented)
     in
+    let w_rec = Gc.minor_words () -. w0 in
     let rp, t_rep =
       timed (fun () ->
           Chimera.Runner.replay
@@ -166,8 +173,12 @@ let measure_wall ?(workers = 4) ?(cores = 4) ?pool ~reps
     | Error d ->
         Fmt.failwith "wall bench %s: replay diverged: %a" b.b_name
           Chimera.Runner.pp_divergence d);
-    if rep = 1 then
-      record_ticks := r.Chimera.Runner.rc_outcome.Interp.Engine.o_ticks;
+    if rep = 1 then begin
+      let o = r.Chimera.Runner.rc_outcome in
+      record_ticks := o.Interp.Engine.o_ticks;
+      steps := List.fold_left (fun n (_, s) -> n + s) 0 o.Interp.Engine.o_steps;
+      words := w_rec
+    end;
     analyze_s := t_an :: !analyze_s;
     instr_s := t_instr :: !instr_s;
     record_s := t_rec :: !record_s;
@@ -219,6 +230,8 @@ let measure_wall ?(workers = 4) ?(cores = 4) ?pool ~reps
     w_name = b.b_name;
     w_scale = scale;
     w_record_ticks = !record_ticks;
+    w_steps = !steps;
+    w_words_per_step = !words /. float_of_int (max 1 !steps);
     w_analyze = phase_of !analyze_s;
     w_analyze_warm = phase_of !warm_s;
     w_stages = List.map (fun n -> (n, stage_mean n)) stage_names;
@@ -241,12 +254,13 @@ let pp_phase name ppf (p : phase) =
 let row_json (r : row) : string =
   let p = r.w_rec_phases in
   Fmt.str
-    {|    {"name": "%s", "scale": %d, "record_ticks": %d,
+    {|    {"name": "%s", "scale": %d, "record_ticks": %d, "steps": %d, "minor_words_per_step": %.3f,
      "phases": {%a, %a, %a, %a, %a},
      "analyze_stages": {%s},
      "record_phases": {"total_s": %.6f, "interp_s": %.6f, "recorder_s": %.6f, "scheduler_s": %.6f, "weaklock_s": %.6f},
      "record_replay_mean_s": %.6f}|}
-    r.w_name r.w_scale r.w_record_ticks (pp_phase "analyze") r.w_analyze
+    r.w_name r.w_scale r.w_record_ticks r.w_steps r.w_words_per_step
+    (pp_phase "analyze") r.w_analyze
     (pp_phase "analyze_warm") r.w_analyze_warm (pp_phase "instrument")
     r.w_instrument (pp_phase "record") r.w_record (pp_phase "replay")
     r.w_replay
@@ -327,7 +341,7 @@ let run ?(benches = Bench_progs.Registry.all) ?flame ~reps () =
   | None -> ());
   Harness.emit_json
     (Fmt.str
-       {|{"schema": "chimera-wall-bench/3", "reps": %d, "workers": 4, "cores": 4, "jobs": %d,
+       {|{"schema": "chimera-wall-bench/4", "reps": %d, "workers": 4, "cores": 4, "jobs": %d,
  "benches": [
 %s
  ],

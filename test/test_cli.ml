@@ -130,7 +130,8 @@ let test_run () =
   let code, out, err = run_cli exe [ "run"; mc ] in
   Alcotest.(check int) "run exit code" 0 code;
   Alcotest.(check bool) "run printed the counter" true (String.trim out <> "");
-  check_contains "run stderr" err "simulated ticks"
+  check_contains "run stderr" err "simulated ticks";
+  check_contains "run stderr" err " steps, "
 
 let test_record_replay () =
   with_exe @@ fun exe ->
