@@ -7,7 +7,7 @@
 #
 # J controls the domain count of the parallel targets (bench -j flag /
 # the sharded test runner); it defaults to all cores.
-.PHONY: all build test test-par check bench-json bench-wall bench-regress \
+.PHONY: all build test test-par check loc bench-json bench-wall bench-regress \
 	par-check lockopt-check stress-check gates refine-check log-check \
 	bench-sustained clean
 
@@ -39,6 +39,13 @@ test-par:
 
 check:
 	dune build && dune runtest
+
+# the .ml/.mli line count of lib/, bin/ and test/, the size figure
+# ROADMAP.md tracks next to wall time
+loc:
+	@printf '%s lines of .ml/.mli in lib/ bin/ test/\n' \
+		"$$(find lib bin test \( -name '*.ml' -o -name '*.mli' \) -print0 \
+		| xargs -0 cat | wc -l)"
 
 # machine-readable pruning counters (static_pairs / pruned_pairs /
 # runtime_acquisitions per benchmark); J=4 fans it across 4 domains

@@ -529,7 +529,7 @@ type cmp_row = {
   c_analyze : float;  (** cold analyze mean; 0 when absent *)
   c_warm : float;  (** warm-cache analyze mean; 0 when absent *)
   c_rec_total : float;  (** attributed record total; 0 when absent (pre-/3) *)
-  c_rec_sched : float;  (** scheduler + weak-lock admission share of it *)
+  c_rec_admission : float;  (** scheduler + weak-lock admission share of it *)
 }
 
 let rows_of_json (j : Bjson.t) : cmp_row list =
@@ -555,7 +555,7 @@ let rows_of_json (j : Bjson.t) : cmp_row list =
             c_analyze = phase "analyze" "mean_s";
             c_warm = phase "analyze_warm" "mean_s";
             c_rec_total = rec_phase "total_s";
-            c_rec_sched = rec_phase "scheduler_s" +. rec_phase "weaklock_s";
+            c_rec_admission = rec_phase "scheduler_s" +. rec_phase "weaklock_s";
           })
         bs
   | _ -> raise (Bjson.Bad "no benches array")
@@ -630,7 +630,7 @@ let compare ?(min_warm_speedup = 10.) ?(max_sched_share = 0.35) ~baseline
      record_phases (a pre-/3 file) leaves the gate off *)
   let rec_total = total (fun r -> r.c_rec_total) cur in
   if rec_total > 0. then begin
-    let share = total (fun r -> r.c_rec_sched) cur /. rec_total in
+    let share = total (fun r -> r.c_rec_admission) cur /. rec_total in
     let bad = share > max_sched_share in
     if bad then failed := true;
     Fmt.pr

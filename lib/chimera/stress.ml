@@ -79,13 +79,10 @@ type report = {
 (** Content address of a recording: the input and order encodings are
     digested separately and hex-concatenated, so two logs whose
     concatenations collide at a section boundary still get distinct
-    addresses. The per-core schedule is left out: the replayer never
-    reads it, so recordings that differ only in how long a thread ran on
-    a core replay identically and share one address. *)
+    addresses. *)
 let log_digest (log : Replay.Log.t) : string =
   Digest.to_hex (Digest.string (Replay.Log.encode_input_log log))
-  ^ Digest.to_hex
-      (Digest.string (Replay.Log.encode_order_log { log with sched = [] }))
+  ^ Digest.to_hex (Digest.string (Replay.Log.encode_order_log log))
 
 (** The matrix cell pinned by [sp_golden_ticks]: default strategy at
     seed 1, matching the golden-counters generator. *)

@@ -59,8 +59,7 @@ type report = {
 
 val log_digest : Replay.Log.t -> string
 (** Content address of a recording: MD5 of the input encoding and of the
-    order encoding without the per-core schedule (which the replayer
-    never reads), hex-concatenated. *)
+    order encoding, hex-concatenated. *)
 
 val golden_seed : int
 (** The seed of the matrix cell [sp_golden_ticks] pins (1, matching the

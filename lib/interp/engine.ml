@@ -12,8 +12,8 @@
       work stealing — simulated time (ticks) plays the role of wall-clock
       time in the evaluation;
     - a recording mode that logs nondeterministic inputs, the per-object
-      synchronization order, the weak-lock acquisition order, and the
-      per-core schedule, charging the cost model for every log append;
+      synchronization order, the weak-lock acquisition order, and
+      forced releases, charging the cost model for every log append;
     - a replay mode that feeds back inputs and enforces the recorded
       orders (blocking threads whose operation is not next), without
       gating data accesses — deterministic replay therefore {e depends}
@@ -732,6 +732,10 @@ let enqueue eng (th : thread) =
   th.core <- !best;
   eng.queues.(!best) := !(eng.queues.(!best)) @ [ th ]
 
+let make_runnable eng (th : thread) =
+  set_status eng th Runnable;
+  enqueue eng th
+
 let wake eng (th : thread) =
   match th.status with
   | Blocked r ->
@@ -748,10 +752,7 @@ let wake eng (th : thread) =
            deterministic mode the owner reacquires in its own execution
            stream (det_ensure_reacquired) so it wakes normally *)
         set_status eng th (Blocked BReacq)
-      else begin
-        set_status eng th Runnable;
-        enqueue eng th
-      end
+      else make_runnable eng th
   | _ -> ()
 
 let wake_tid eng tid =
@@ -2112,9 +2113,7 @@ let maintenance eng =
               ->
                 wake eng th
             | _ -> ())
-        | Blocked BReacq when th.reacquire = [] ->
-            set_status eng th Runnable;
-            enqueue eng th
+        | Blocked BReacq when th.reacquire = [] -> make_runnable eng th
         | _ -> ())
       eng.threads;
   (* replayed forced events can target an owner that is blocked on
@@ -2205,10 +2204,7 @@ let maintenance eng =
                 | `Blocked _ -> ()
         in
         go ();
-        if th.reacquire = [] then begin
-          set_status eng th Runnable;
-          enqueue eng th
-        end
+        if th.reacquire = [] then make_runnable eng th
       end)
     eng.threads
 
@@ -2289,10 +2285,7 @@ let check_weak_timeouts eng =
                          false
                      | `Blocked _ -> true)
                  th.reacquire);
-            if th.reacquire = [] then begin
-              set_status eng th Runnable;
-              enqueue eng th
-            end
+            if th.reacquire = [] then make_runnable eng th
             else th.blocked_since <- eng.ticks
         | Blocked (BWeak (lock, _claim)) ->
             let owners = WL.holders eng.weak lock in
@@ -2393,14 +2386,7 @@ let tick_core eng c =
   | th :: _ ->
       let resumes = th.stall = 0 in
       if not resumes then th.stall <- th.stall - 1
-      else begin
-        (* left off the phase clock: its two reads per core-tick would
-           cost more than this update of the core's open segment *)
-        (match eng.recorder with
-        | Some rc -> Replay.Recorder.rec_sched rc ~core:c ~tp:th.path ~ticks:1
-        | None -> ());
-        resume_thread eng th
-      end;
+      else resume_thread eng th;
       (* quantum accounting *)
       eng.quanta.(c) <- eng.quanta.(c) - 1;
       if eng.quanta.(c) <= 0 then begin

@@ -7,9 +7,9 @@
       global serialization order of system calls;
     - the {e order log}: the happens-before order of original
       synchronization operations (per-object operation order), the
-      per-weak-lock acquisition order, forced-release (timeout) events,
-      and the per-core thread schedule, one segment per run of a thread
-      on a core (informational).
+      per-weak-lock acquisition order, and forced-release (timeout)
+      events. Nothing else is logged: the thread schedule is not, since
+      replay reproduces the execution from these orders alone.
 
     Threads are named by schedule-independent {!Runtime.Key.tid_path}s and
     objects by {!Runtime.Key.addr} / weak-lock ids, so a replayer running
@@ -93,20 +93,6 @@ type forced_event = {
   fe_lock : Minic.Ast.weak_lock;
 }
 
-(** One run of a thread on a core: [sg_ticks] core-ticks of [sg_tid] on
-    [sg_core], with no other thread on that core in between. Segments are
-    listed in the order they opened; those of different cores interleave,
-    and a segment's ticks may overlap other cores' later segments. The
-    schedule is informational: the replayer never reads it. Older
-    recorders wrote one segment per core-tick whenever two cores were
-    busy; such logs decode unchanged. *)
-type sched_segment = {
-  sg_core : int;
-  sg_tid : Key.tid_path;
-  mutable sg_ticks : int;
-      (** mutable so the recorder extends the open segment in place *)
-}
-
 type t = {
   (* input log *)
   inputs : (Key.tid_path, int list list ref) Hashtbl.t;
@@ -120,7 +106,6 @@ type t = {
     (Minic.Ast.weak_lock, (Key.tid_path * sclaim) list ref) Hashtbl.t;
       (** per-lock acquisition sequence with claimed ranges, reversed *)
   mutable forced : forced_event list;  (** reversed *)
-  mutable sched : sched_segment list;  (** by opening order, reversed *)
 }
 
 let create () =
@@ -130,7 +115,6 @@ let create () =
     sync_order = Hashtbl.create 64;
     weak_order = Hashtbl.create 64;
     forced = [];
-    sched = [];
   }
 
 (** The append cell for key [k] of table [tbl], created empty on first
@@ -393,18 +377,12 @@ let encode_order_log_gen ~mark (t : t) : string =
       Enc.varint b fe.fe_acqs;
       Enc.weak_lock b fe.fe_lock)
     t.forced;
-  rev_seq_marked mark b
-    (fun b sg ->
-      Enc.varint b sg.sg_core;
-      Enc.tid_path b sg.sg_tid;
-      Enc.varint b sg.sg_ticks)
-    t.sched;
   Buffer.contents b
 
 (** Serialize the input log (syscall values + global syscall order). *)
 let encode_input_log (t : t) : string = encode_input_log_gen ~mark:None t
 
-(** Serialize the order log (sync + weak + forced + schedule). *)
+(** Serialize the order log (sync + weak + forced). *)
 let encode_order_log (t : t) : string = encode_order_log_gen ~mark:None t
 
 (* the marked variants: encoding plus the sorted, deduplicated record
@@ -490,11 +468,5 @@ let decode (input_log : string) (order_log : string) : t =
         let acqs = Dec.varint c in
         let lock = Dec.weak_lock c in
         { fe_owner = owner; fe_steps = steps; fe_acqs = acqs; fe_lock = lock });
-  t.sched <-
-    Dec.rev_list c (fun c ->
-        let core = Dec.varint c in
-        let tid = Dec.tid_path c in
-        let ticks = Dec.varint c in
-        { sg_core = core; sg_tid = tid; sg_ticks = ticks });
   check_consumed c "order log";
   t

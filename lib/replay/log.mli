@@ -3,11 +3,10 @@
     A recording splits, as in the paper, into the {e input log} (syscall
     results in per-thread order + the global syscall serialization) and
     the {e order log} (per-object synchronization order, per-weak-lock
-    acquisition order with claimed address ranges, forced-release events,
-    per-core schedule segments, one per run of a thread on a core).
-    Threads are named by
-    {!Runtime.Key.tid_path}s and objects by stable {!Runtime.Key.addr}s
-    so a replayer under a different scheduler still matches events. *)
+    acquisition order with claimed address ranges, forced-release
+    events). Threads are named by {!Runtime.Key.tid_path}s and objects by
+    stable {!Runtime.Key.addr}s so a replayer under a different scheduler
+    still matches events. *)
 
 open Runtime
 
@@ -54,20 +53,6 @@ type forced_event = {
   fe_lock : Minic.Ast.weak_lock;
 }
 
-(** One run of a thread on a core: [sg_ticks] core-ticks of [sg_tid] on
-    [sg_core], with no other thread on that core in between. Segments are
-    listed in the order they opened; those of different cores interleave,
-    and a segment's ticks may overlap other cores' later segments. The
-    schedule is informational: the replayer never reads it. Older
-    recorders wrote one segment per core-tick whenever two cores were
-    busy; such logs decode unchanged. *)
-type sched_segment = {
-  sg_core : int;
-  sg_tid : Key.tid_path;
-  mutable sg_ticks : int;
-      (** mutable so the recorder extends the open segment in place *)
-}
-
 type t = {
   inputs : (Key.tid_path, int list list ref) Hashtbl.t;
       (** per-thread recorded syscall bursts, newest first *)
@@ -78,7 +63,6 @@ type t = {
     (Minic.Ast.weak_lock, (Key.tid_path * sclaim) list ref) Hashtbl.t;
       (** per-lock acquisition sequence with claims, reversed *)
   mutable forced : forced_event list;  (** reversed *)
-  mutable sched : sched_segment list;  (** by opening order, reversed *)
 }
 (** Keyed event sequences live behind [ref] cells so the recorder appends
     with a single table lookup; sequences are stored newest-first. *)

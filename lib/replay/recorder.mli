@@ -1,5 +1,4 @@
-(** The recorder: appends events to a {!Log.t} during a recorded run and
-    keeps the per-category counters reported in Table 2. *)
+(** The recorder: appends events to a {!Log.t} during a recorded run. *)
 
 open Runtime
 
@@ -11,16 +10,10 @@ type spill = {
 
 type t = {
   mutable log : Log.t;        (** the open (in-memory) segment *)
-  mutable n_syscalls : int;   (** input-log entries *)
-  mutable n_sync_ops : int;   (** original-synchronization HB entries *)
-  mutable n_weak : int array; (** weak-lock entries by granularity rank *)
-  mutable n_forced : int;
   mutable spill : spill option;
   mutable seg_events : int;       (** gated events in the open segment *)
   mutable seg_first_tick : int;
   mutable segments_sealed : int;
-  mutable open_sched : Log.sched_segment option array;
-      (** per core, the open schedule segment; emptied at every seal *)
 }
 
 val create : unit -> t
@@ -62,13 +55,3 @@ val rec_forced :
   acqs:int ->
   lock:Minic.Ast.weak_lock ->
   unit
-
-(** Charge [ticks] of core [core] to thread [tp]: extends the core's
-    open segment while the same thread stays on it, else opens a new
-    one. Segments of different cores interleave freely, so the log holds
-    one segment per run of a thread on a core. A seal closes every open
-    segment. *)
-val rec_sched : t -> core:int -> tp:Key.tid_path -> ticks:int -> unit
-
-(** Weak-lock log entries per granularity: (func, loop, bb, instr). *)
-val weak_counts : t -> int * int * int * int

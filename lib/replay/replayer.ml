@@ -95,7 +95,7 @@ type t = {
   mutable remaining : int;
       (** gated consumables left in the current segment: syscall-order
           entries, input bursts, sync ops, weak acquisitions, forced
-          events (sched segments are informational, never consumed) *)
+          events *)
   mutable pending : Log.t option;  (** prefetched next segment *)
   mutable pull : unit -> Log.t option;
   mutable seg_index : int;  (** current segment, 0-based *)
@@ -171,7 +171,8 @@ let gated_events (log : Log.t) : int =
 (* advance the stream when the current segment has drained: fire
    [on_advance], then either halt (windowed replay), finish (last
    segment), or rebuild the cursors from the prefetched next segment.
-   Loops over gated-event-free segments (e.g. a sched-only tail). *)
+   Loops over gated-event-free segments (the one empty segment of a
+   recording that logged nothing). *)
 let rec drain_check (t : t) =
   if t.remaining = 0 && not t.halted && not t.last_drained then begin
     t.on_advance t.seg_index;

@@ -9,26 +9,8 @@
 
 module A = Ancache
 
-let temp_store_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Fmt.str "chimera-ancache-test-%d-%d" (Unix.getpid ()) !n)
-
 let with_store f =
-  let dir = temp_store_dir () in
-  let c = A.create ~dir () in
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then begin
-        Array.iter
-          (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-          (Sys.readdir dir);
-        try Sys.rmdir dir with Sys_error _ -> ()
-      end)
-    (fun () -> f c)
+  Testutil.with_temp_dir "chimera-ancache" (fun dir -> f (A.create ~dir ()))
 
 let entry_files c =
   Sys.readdir (A.dir c) |> Array.to_list
@@ -163,7 +145,7 @@ let test_damaged_entries () =
 
 let test_missing_dir () =
   (* find/stats/clear on a directory that was never created *)
-  let c = A.create ~dir:(temp_store_dir ()) () in
+  with_store @@ fun c ->
   Alcotest.check find_t "find in absent dir" (Error A.Absent)
     (A.find c ~key:(A.key_of_parts [ "k" ]));
   Alcotest.(check int) "stats in absent dir" 0 (A.stats c).A.st_entries;

@@ -28,40 +28,29 @@ let read_file path =
   close_in ic;
   s
 
-(* every invocation gets a private throwaway cache dir (analysis caching
-   defaults on), so the tests never read or pollute the user's real cache
-   and runs stay independent unless a test opts into sharing *)
-let fresh_cache_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Fmt.str "chimera-cli-test-cache-%d-%d" (Unix.getpid ()) !n)
-
-let rm_rf dir =
-  if Sys.file_exists dir && Sys.is_directory dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Sys.rmdir dir
-  end
-
-(** Run [exe args], returning (exit code, stdout, stderr). *)
+(** Run [exe args], returning (exit code, stdout, stderr). Every
+    invocation gets a private throwaway cache dir (analysis caching
+    defaults on), so the tests never read or pollute the user's real
+    cache and runs stay independent unless a test passes [cache_dir]. *)
 let run_cli ?cache_dir exe args =
-  let out = Filename.temp_file "chimera_cli" ".out" in
-  let err = Filename.temp_file "chimera_cli" ".err" in
-  let cdir = match cache_dir with Some d -> d | None -> fresh_cache_dir () in
-  let cmd =
-    Fmt.str "CHIMERA_CACHE_DIR=%s %s %s > %s 2> %s" (Filename.quote cdir)
-      (Filename.quote exe)
-      (String.concat " " (List.map Filename.quote args))
-      (Filename.quote out) (Filename.quote err)
+  let run cdir =
+    let out = Filename.temp_file "chimera_cli" ".out" in
+    let err = Filename.temp_file "chimera_cli" ".err" in
+    let cmd =
+      Fmt.str "CHIMERA_CACHE_DIR=%s %s %s > %s 2> %s" (Filename.quote cdir)
+        (Filename.quote exe)
+        (String.concat " " (List.map Filename.quote args))
+        (Filename.quote out) (Filename.quote err)
+    in
+    let code = Sys.command cmd in
+    let o = read_file out and e = read_file err in
+    Sys.remove out;
+    Sys.remove err;
+    (code, o, e)
   in
-  let code = Sys.command cmd in
-  let o = read_file out and e = read_file err in
-  Sys.remove out;
-  Sys.remove err;
-  if cache_dir = None then rm_rf cdir;
-  (code, o, e)
+  match cache_dir with
+  | Some cdir -> run cdir
+  | None -> Testutil.with_temp_dir "chimera-cli-cache" run
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -208,14 +197,23 @@ let test_replay_corrupt_log () =
     run_cli exe [ "record"; mc; "--profile-runs"; "4"; "-o"; prefix ]
   in
   Alcotest.(check int) "record exit code" 0 code;
-  (* smash the order log: an unterminated over-long varint *)
-  Out_channel.with_open_bin order_log (fun oc ->
-      output_string oc (String.make 10 '\xff'));
-  let code, _, err =
-    run_cli exe [ "replay"; mc; "--profile-runs"; "4"; "--logs"; prefix ]
-  in
-  Alcotest.(check int) "corrupt log exit code" 3 code;
-  check_contains "replay stderr" err "corrupt"
+  let recorded = read_file order_log in
+  List.iter
+    (fun (what, bytes) ->
+      Out_channel.with_open_bin order_log (fun oc -> output_string oc bytes);
+      let code, _, err =
+        run_cli exe [ "replay"; mc; "--profile-runs"; "4"; "--logs"; prefix ]
+      in
+      Alcotest.(check int) (what ^ ": exit code") 3 code;
+      check_contains (what ^ ": replay stderr") err "corrupt")
+    [
+      (* an unterminated over-long varint *)
+      ("smashed order log", String.make 10 '\xff');
+      (* the log as written while the order log still ended with the
+         per-core schedule: here one segment, core 0, main thread, one
+         tick *)
+      ("schedule-section order log", recorded ^ "\x02\x00\x00\x02");
+    ]
 
 let test_bad_file () =
   with_exe @@ fun exe ->
@@ -225,8 +223,7 @@ let test_bad_file () =
 let test_cache_subcommand () =
   with_exe @@ fun exe ->
   with_src @@ fun mc ->
-  let cdir = fresh_cache_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf cdir) @@ fun () ->
+  Testutil.with_temp_dir "chimera-cli-cache" @@ fun cdir ->
   (* cold run populates the cache; the warm run must print the same plan *)
   let args = [ "plan"; mc; "--profile-runs"; "4"; "--cache-dir"; cdir ] in
   let code, cold_out, _ = run_cli ~cache_dir:cdir exe args in

@@ -207,9 +207,8 @@ let observe_shared an jobs =
 
 (* Cells that give [shared_src] at least two distinct recordings on 2
    cores, the default coverage bar. Recordings count as distinct only
-   when their gated logs differ (the per-core schedule is not part of a
-   log's address); here the noise threads' mutex order does, at nearly
-   every seed of either strategy. *)
+   when their logs differ; here the noise threads' mutex order does, at
+   nearly every seed of either strategy. *)
 let shared_seeds = [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 
 let shared_strategies = [ Interp.Engine.Sdefault; Interp.Engine.Sstorm ]
@@ -291,8 +290,7 @@ let test_deployment_roundtrip () =
    load -> observe_corpus must agree with the in-memory observations *)
 let test_corpus_roundtrip () =
   let an = analyze shared_src in
-  let dir = Filename.temp_file "chimera-corpus" "" in
-  Sys.remove dir;
+  Testutil.with_temp_dir "chimera-corpus" @@ fun dir ->
   let spec =
     {
       Chimera.Stress.sp_name = "shared";

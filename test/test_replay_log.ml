@@ -1,6 +1,6 @@
 (** Tests for log serialization (roundtrip, including a qcheck property),
-    the recorder counters, replayer cursors, and the conflicting-order
-    gating rule for range-claimed weak locks. *)
+    replayer cursors, and the conflicting-order gating rule for
+    range-claimed weak locks. *)
 
 open Runtime
 
@@ -29,9 +29,6 @@ let build_sample () =
   Replay.Recorder.rec_weak rc ~lock:(wl 0 Gfunc) ~tp:[] ~claim:[];
   Replay.Recorder.rec_forced rc ~owner:[ 1 ] ~steps:777 ~acqs:3
     ~lock:(wl 3 Gloop);
-  Replay.Recorder.rec_sched rc ~core:0 ~tp:[] ~ticks:5;
-  Replay.Recorder.rec_sched rc ~core:0 ~tp:[] ~ticks:3;
-  Replay.Recorder.rec_sched rc ~core:1 ~tp:[ 0 ] ~ticks:2;
   rc
 
 let test_roundtrip () =
@@ -45,92 +42,26 @@ let test_roundtrip () =
   Alcotest.(check string) "input log stable" i i';
   Alcotest.(check string) "order log stable" o o'
 
-let test_counters () =
-  let rc = build_sample () in
-  Alcotest.(check int) "syscalls" 3 rc.Replay.Recorder.n_syscalls;
-  Alcotest.(check int) "sync ops" 3 rc.Replay.Recorder.n_sync_ops;
-  let f, l, b, i = Replay.Recorder.weak_counts rc in
-  Alcotest.(check (list int)) "weak by gran" [ 1; 2; 0; 0 ] [ f; l; b; i ];
-  Alcotest.(check int) "forced" 1 rc.Replay.Recorder.n_forced
-
-let test_sched_merge () =
-  let rc = build_sample () in
-  Alcotest.(check int) "adjacent same-core segments merged" 2
-    (List.length rc.Replay.Recorder.log.sched)
-
-let sched_of (log : Replay.Log.t) =
-  List.rev_map
-    (fun (sg : Replay.Log.sched_segment) ->
-      (sg.sg_core, sg.sg_tid, sg.sg_ticks))
-    log.sched
-
-let sched_t = Alcotest.(list (triple int (list int) int))
-
-(* two busy cores interleave their ticks; each core keeps its own open
-   segment, so the schedule is one segment per run, not one per tick *)
-let test_sched_interleaved () =
-  let rc = Replay.Recorder.create () in
-  List.iter
-    (fun (core, tp) -> Replay.Recorder.rec_sched rc ~core ~tp ~ticks:1)
-    [ (0, []); (1, [ 0 ]); (0, []); (1, [ 0 ]) ];
-  Alcotest.check sched_t "one segment per core, two ticks each"
-    [ (0, [], 2); (1, [ 0 ], 2) ]
-    (sched_of rc.Replay.Recorder.log)
-
-(* a seal closes every open segment: the spilled log's segment is not
-   extended afterwards, and the next log opens a fresh one *)
-let test_sched_seal_resets () =
-  let rc = Replay.Recorder.create () in
-  let sealed = ref [] in
-  Replay.Recorder.set_spill rc ~events_per_segment:1
-    ~flush:(fun ~log ~first_tick:_ ~last_tick:_ ~events:_ ->
-      sealed := log :: !sealed);
-  Replay.Recorder.rec_sched rc ~core:0 ~tp:[] ~ticks:1;
-  Replay.Recorder.rec_input rc ~tp:[] [ 7 ];
-  Replay.Recorder.maybe_seal rc ~now:1;
-  Replay.Recorder.rec_sched rc ~core:0 ~tp:[] ~ticks:1;
-  Replay.Recorder.rec_sched rc ~core:0 ~tp:[] ~ticks:1;
-  let first = match !sealed with [ l ] -> l | _ -> Alcotest.fail "one seal" in
-  Alcotest.check sched_t "sealed segment not extended" [ (0, [], 1) ]
-    (sched_of first);
-  Alcotest.check sched_t "next log opens a fresh segment" [ (0, [], 2) ]
-    (sched_of rc.Replay.Recorder.log)
-
-(* the order log the previous recorder wrote for the interleaving above:
-   one segment per core-tick. The wire format is unchanged, so it still
-   decodes to exactly those four entries. *)
+(* an order log as the recorder wrote it while it still logged the
+   per-core schedule: empty sync, weak and forced sections, then four
+   one-tick schedule segments. The format has no schedule section, so
+   those bytes are trailing garbage and the log is rejected as corrupt;
+   the same log cut after its forced section is the empty log. *)
 let test_sched_per_tick_log_decodes () =
   let per_tick =
     "\x00\x00\x00\x08\x00\x00\x02\x02\x02\x00\x02\x00\x00\x02\x02\x02\x00\x02"
   in
   let no_inputs = Replay.Log.encode_input_log (Replay.Log.create ()) in
-  let log = Replay.Log.decode no_inputs per_tick in
-  Alcotest.check sched_t "per-tick entries kept"
-    [ (0, [], 1); (1, [ 0 ], 1); (0, [], 1); (1, [ 0 ], 1) ]
-    (sched_of log);
-  Alcotest.(check string) "re-encodes byte-identically" per_tick
-    (Replay.Log.encode_order_log log)
-
-(* Σ sg_ticks of the golden cells (4 cores, seed 1, profile scale) as
-   the per-tick recorder totalled them: merging segments moves no tick *)
-let golden_sched_ticks = [ ("pfscan", 8_706); ("ocean", 21_059) ]
-
-let test_sched_golden_cells () =
-  List.iter
-    (fun (name, ticks) ->
-      let log = Test_logbytes.record_cell name in
-      let sched = sched_of log in
-      Alcotest.(check int) (name ^ ": total ticks") ticks
-        (List.fold_left (fun a (_, _, t) -> a + t) 0 sched);
-      let last = Hashtbl.create 4 in
-      List.iter
-        (fun (core, tp, _) ->
-          if Hashtbl.find_opt last core = Some tp then
-            Alcotest.failf "%s: core %d has two consecutive segments of %a"
-              name core Runtime.Key.pp_tid_path tp;
-          Hashtbl.replace last core tp)
-        sched)
-    golden_sched_ticks
+  (match Replay.Log.decode no_inputs per_tick with
+  | _ -> Alcotest.fail "a log with a schedule section decoded"
+  | exception Replay.Log.Corrupt _ -> ());
+  let log = Replay.Log.decode no_inputs "\x00\x00\x00" in
+  Alcotest.(check string) "without it: the empty order log"
+    (Replay.Log.encode_order_log (Replay.Log.create ()))
+    (Replay.Log.encode_order_log log);
+  Alcotest.(check int) "no sync objects" 0 (Hashtbl.length log.sync_order);
+  Alcotest.(check int) "no weak locks" 0 (Hashtbl.length log.weak_order);
+  Alcotest.(check int) "no forced events" 0 (List.length log.forced)
 
 let test_replayer_inputs () =
   let rc = build_sample () in
@@ -592,15 +523,8 @@ let prop_log_roundtrip_full_range =
 let suite =
   [
     Alcotest.test_case "log roundtrip" `Quick test_roundtrip;
-    Alcotest.test_case "recorder counters" `Quick test_counters;
-    Alcotest.test_case "sched segments merge" `Quick test_sched_merge;
-    Alcotest.test_case "sched: interleaved cores" `Quick test_sched_interleaved;
-    Alcotest.test_case "sched: seal resets open segments" `Quick
-      test_sched_seal_resets;
     Alcotest.test_case "sched: per-tick log decodes" `Quick
       test_sched_per_tick_log_decodes;
-    Alcotest.test_case "sched: golden cells one segment per run" `Quick
-      test_sched_golden_cells;
     Alcotest.test_case "replayer inputs" `Quick test_replayer_inputs;
     Alcotest.test_case "replayer sync order" `Quick test_replayer_sync_order;
     Alcotest.test_case "weak turn conflict rules" `Quick

@@ -48,7 +48,10 @@ let prop_strategy strategy =
    and moves the 16-worker ocean/pct cell. radix/storm's replay works
    off chains of forced releases and reacquisitions while every thread
    stays parked; before such rounds counted as progress, its replay was
-   cut off as stalled at 65,651 ticks. *)
+   cut off as stalled at 65,651 ticks. The log MD5s were recaptured when
+   the order log lost its per-core schedule section: each new order log
+   is a prefix of the old one, the rest of which decoded to exactly the
+   old schedule, and the input logs and every other figure stayed. *)
 type pin = {
   p_ticks : int;
   p_hash : int;
@@ -59,61 +62,61 @@ type pin = {
 let pins =
   [
     ("aget/default", { p_ticks = 121601; p_hash = 214426252;
-      p_log_md5 = "3f231e742afd172a0dab2c2d6a7dab29"; p_replay_ticks = 23235 });
+      p_log_md5 = "7906740915497a0c3d17a772bf193edf"; p_replay_ticks = 23235 });
     ("aget/pct", { p_ticks = 121601; p_hash = 214426252;
-      p_log_md5 = "3f231e742afd172a0dab2c2d6a7dab29"; p_replay_ticks = 23266 });
+      p_log_md5 = "7906740915497a0c3d17a772bf193edf"; p_replay_ticks = 23266 });
     ("aget/storm", { p_ticks = 121585; p_hash = 214426252;
-      p_log_md5 = "bc776b18f1d717ad2c7ed82faf7d674a"; p_replay_ticks = 22796 });
+      p_log_md5 = "7ff9bc2ad31c00dc2ca505b9874bb198"; p_replay_ticks = 22796 });
     ("apache/default", { p_ticks = 852819; p_hash = 577648506;
-      p_log_md5 = "19cb6dbc6215f7705b7e6a9c62675ba3"; p_replay_ticks = 172091 });
+      p_log_md5 = "2f368ed304e67c594daba1c2c42a2003"; p_replay_ticks = 172091 });
     ("apache/pct", { p_ticks = 852819; p_hash = 577648506;
-      p_log_md5 = "19cb6dbc6215f7705b7e6a9c62675ba3"; p_replay_ticks = 172091 });
+      p_log_md5 = "2f368ed304e67c594daba1c2c42a2003"; p_replay_ticks = 172091 });
     ("apache/storm", { p_ticks = 852823; p_hash = 71720155;
-      p_log_md5 = "691ffc972e2891ccb25c4d3d4ed482b1"; p_replay_ticks = 172091 });
+      p_log_md5 = "bcdccfa7de1e79f1528eb4eaa1d05ba6"; p_replay_ticks = 172091 });
     ("fft/default", { p_ticks = 26541; p_hash = 403648332;
-      p_log_md5 = "634ed90f10b7ea572d99cc07353dd2b3"; p_replay_ticks = 26353 });
+      p_log_md5 = "f7076796473b4b8fdc3f82efaef25b40"; p_replay_ticks = 26353 });
     ("fft/pct", { p_ticks = 26542; p_hash = 403648332;
-      p_log_md5 = "95befdca0cbb0c79af271ca1126b0730"; p_replay_ticks = 26349 });
+      p_log_md5 = "1856c1525eadd20bf698360b2ee62324"; p_replay_ticks = 26349 });
     ("fft/storm", { p_ticks = 26536; p_hash = 403648332;
-      p_log_md5 = "30965489ad1df0226f6421636cd033c9"; p_replay_ticks = 26347 });
+      p_log_md5 = "735ddcae6846710c8058fbb7b3db294f"; p_replay_ticks = 26347 });
     ("knot/default", { p_ticks = 487491; p_hash = 248126484;
-      p_log_md5 = "7dfef47a381cceaaa7288de3022ba4d9"; p_replay_ticks = 21003 });
+      p_log_md5 = "36b0ada97780df63720e3dc6e131585e"; p_replay_ticks = 21003 });
     ("knot/pct", { p_ticks = 487491; p_hash = 248126484;
-      p_log_md5 = "f7ab68875bfe50890d40971c92e623fd"; p_replay_ticks = 21003 });
+      p_log_md5 = "48807c45593c12fbf048bc9b1504c6a9"; p_replay_ticks = 21003 });
     ("knot/storm", { p_ticks = 487490; p_hash = 248126484;
-      p_log_md5 = "f7ab68875bfe50890d40971c92e623fd"; p_replay_ticks = 21002 });
+      p_log_md5 = "48807c45593c12fbf048bc9b1504c6a9"; p_replay_ticks = 21002 });
     ("ocean/default", { p_ticks = 48183; p_hash = 515254857;
-      p_log_md5 = "76c3f41d2c1f3862bce09a633456cb6e"; p_replay_ticks = 44310 });
+      p_log_md5 = "afe72f5e1a5db3b39cebd22bec6d9213"; p_replay_ticks = 44310 });
     ("ocean/pct", { p_ticks = 47230; p_hash = 515254857;
-      p_log_md5 = "772978dc6bde6689ab97899f9eecf00b"; p_replay_ticks = 44167 });
+      p_log_md5 = "b0c2f7965edf73107f9f3a8beff22f42"; p_replay_ticks = 44167 });
     ("ocean/pct/16w", { p_ticks = 76632; p_hash = 99751404;
-      p_log_md5 = "74d40b6a2efe6ddffb474862ad1792b7"; p_replay_ticks = 71150 });
+      p_log_md5 = "72df91ffb3515c7a44223cb473f70834"; p_replay_ticks = 71150 });
     ("ocean/storm", { p_ticks = 48067; p_hash = 515254857;
-      p_log_md5 = "ddae8871ab81c42369c52faf5629d07f"; p_replay_ticks = 44263 });
+      p_log_md5 = "0a9eb99bc7c612b4050a1b310851f790"; p_replay_ticks = 44263 });
     ("pbzip2/default", { p_ticks = 59139; p_hash = 289457335;
-      p_log_md5 = "afa5e4f5f8f1b677845040fe8f755b95"; p_replay_ticks = 55196 });
+      p_log_md5 = "024e07c5daf4c7419761d1fc2b891fc5"; p_replay_ticks = 55196 });
     ("pbzip2/pct", { p_ticks = 58092; p_hash = 289457335;
-      p_log_md5 = "ea25affb121c8114510aee1c32b6b452"; p_replay_ticks = 57355 });
+      p_log_md5 = "220b1e4c18a659bf4a8ab93a3d2308d6"; p_replay_ticks = 57355 });
     ("pbzip2/storm", { p_ticks = 58644; p_hash = 289457335;
-      p_log_md5 = "b56aa12f6ae35b0e439581d4c22ce8f9"; p_replay_ticks = 54985 });
+      p_log_md5 = "3fcbe159e035764bf842bf16fca84881"; p_replay_ticks = 54985 });
     ("pfscan/default", { p_ticks = 38613; p_hash = 9945290;
-      p_log_md5 = "9698f4957d7b48aa41491413c96978e5"; p_replay_ticks = 32148 });
+      p_log_md5 = "4ea0babeb8cd3035b7cf494e1eb56e0b"; p_replay_ticks = 32148 });
     ("pfscan/pct", { p_ticks = 38613; p_hash = 9945290;
-      p_log_md5 = "9698f4957d7b48aa41491413c96978e5"; p_replay_ticks = 32148 });
+      p_log_md5 = "4ea0babeb8cd3035b7cf494e1eb56e0b"; p_replay_ticks = 32148 });
     ("pfscan/storm", { p_ticks = 38696; p_hash = 9945290;
-      p_log_md5 = "5119354c0c8053a0a64adab3632e73c3"; p_replay_ticks = 32149 });
+      p_log_md5 = "4ea0babeb8cd3035b7cf494e1eb56e0b"; p_replay_ticks = 32149 });
     ("radix/default", { p_ticks = 115327; p_hash = 429027023;
-      p_log_md5 = "7795d567a0c03dc34fb02d131609f3ac"; p_replay_ticks = 109659 });
+      p_log_md5 = "7e5b606525c56f705324be6f9d05a88a"; p_replay_ticks = 109659 });
     ("radix/pct", { p_ticks = 115326; p_hash = 429027023;
-      p_log_md5 = "3f86728d2fd5098061b546d257529aa0"; p_replay_ticks = 109673 });
+      p_log_md5 = "49271061bfe54020896ef694bfbd04ab"; p_replay_ticks = 109673 });
     ("radix/storm", { p_ticks = 4354427; p_hash = 429027023;
-      p_log_md5 = "a7404c3bf065670226c1bfc35fd8a5d5"; p_replay_ticks = 117416 });
+      p_log_md5 = "71588ef059a58fefb6246174384ac675"; p_replay_ticks = 117416 });
     ("water/default", { p_ticks = 63359; p_hash = 57751805;
-      p_log_md5 = "615948f30d3062e8e6b9038e074d839c"; p_replay_ticks = 54059 });
+      p_log_md5 = "5bc82cd84fcfb6c0b41857246821fadb"; p_replay_ticks = 54059 });
     ("water/pct", { p_ticks = 61904; p_hash = 957648430;
-      p_log_md5 = "ee0fd3fb5926ffc9c530183dbc4c4ec6"; p_replay_ticks = 54026 });
+      p_log_md5 = "51e02a13927d4344087e2c883c3ba99b"; p_replay_ticks = 54026 });
     ("water/storm", { p_ticks = 58084; p_hash = 675224365;
-      p_log_md5 = "ae9a6ea8eeb9eeda65bd9a874b7ac7c3"; p_replay_ticks = 54392 })
+      p_log_md5 = "2246d4c2b6224953c94d4909abc69f92"; p_replay_ticks = 54392 })
   ]
 
 let log_md5 (log : Replay.Log.t) =

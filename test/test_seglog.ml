@@ -36,25 +36,7 @@ let prog =
 let config seed = { Engine.default_config with seed; cores = 4 }
 let io seed = Iomodel.random ~seed
 
-let temp_seg_dir =
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Fmt.str "chimera-seglog-test-%d-%d" (Unix.getpid ()) !n)
-
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter
-      (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-      (Sys.readdir dir);
-    try Sys.rmdir dir with Sys_error _ -> ()
-  end
-
-let with_seg_dir f =
-  let dir = temp_seg_dir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+let with_seg_dir f = Testutil.with_temp_dir "chimera-seglog" f
 
 let record_seg ?(events_per_segment = 32) ?(checkpoint_every = 1) ~dir () =
   Chimera.Runner.record_segmented ~config:(config 1) ~io:(io 42) ~dir
