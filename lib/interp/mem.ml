@@ -87,8 +87,8 @@ let addr_key (m : t) (p : Value.ptr) : Key.addr =
   let b = block m p.p_block in
   { Key.a_origin = b.b_origin; a_off = p.p_off }
 
-(** Deterministic hash of all live global and heap memory, with pointer
-    values canonicalized through their origins. Frames are excluded (they
+(** Deterministic hash of every cell of all live global and heap
+    memory, with pointer values canonicalized through their origins. Frames are excluded (they
     belong to still-running threads only at non-quiescent points; at
     program end all frames are gone anyway). *)
 let state_hash (m : t) : int =
@@ -115,4 +115,7 @@ let state_hash (m : t) : int =
           | _ -> ())
       | None -> ())
     m.blocks;
-  Hashtbl.hash (List.sort compare !entries)
+  (* a digest of every entry: [Hashtbl.hash] of the list would stop
+     after its first ten elements and miss any later block *)
+  let d = Digest.string (String.concat "\n" (List.sort compare !entries)) in
+  Int64.to_int (String.get_int64_le d 0) land max_int

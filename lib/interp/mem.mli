@@ -36,6 +36,7 @@ val store_at : t -> int -> int -> Value.t -> unit
 (** Stable address for log keys. *)
 val addr_key : t -> Value.ptr -> Runtime.Key.addr
 
-(** Deterministic hash of live global + heap memory with pointers
-    canonicalized through origins (the determinism-check state hash). *)
+(** Deterministic hash of every cell of live global + heap memory, with
+    pointers canonicalized through origins (the determinism-check state
+    hash). *)
 val state_hash : t -> int

@@ -589,6 +589,21 @@ let test_alloc_per_step () =
   check "pfscan golden cell" 7.0 an.an_instrumented
     (b.b_io ~seed:42 ~scale:b.b_profile_scale)
 
+(* The final-state hash covers every block: twelve globals, and a
+   change to the eleventh in sorted order alone moves the hash *)
+let test_state_hash_all_blocks () =
+  let hash_with v =
+    let m = Interp.Mem.create () in
+    for i = 0 to 11 do
+      let b = Interp.Mem.alloc m (Runtime.Key.OGlobal (Fmt.str "g%02d" i)) 2 in
+      Interp.Mem.store_at m b.b_id 1
+        (Interp.Value.VInt (if i = 10 then v else i))
+    done;
+    Interp.Mem.state_hash m
+  in
+  if hash_with 10 = hash_with 11 then
+    Alcotest.fail "state hash ignores the eleventh block"
+
 let suite =
   [
     Alcotest.test_case "arith" `Quick test_arith;
@@ -625,4 +640,6 @@ let suite =
       test_weak_enter_canonical_order;
     Alcotest.test_case "evaluation order of hooks" `Quick test_eval_order;
     Alcotest.test_case "minor words per step" `Quick test_alloc_per_step;
+    Alcotest.test_case "state hash covers every block" `Quick
+      test_state_hash_all_blocks;
   ]
