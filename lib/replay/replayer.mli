@@ -18,6 +18,11 @@ val of_log : Log.t -> t
     segment. [of_log] is the one-segment special case. *)
 val of_stream : (unit -> Log.t option) -> t
 
+(** Gated events in one log: syscall-order entries, input bursts, sync
+    ops, weak acquisitions and forced events — what a replay of it
+    consumes. *)
+val gated_events : Log.t -> int
+
 (** Is execution past the recording unconstrained — on the final
     segment and not halted? The engine's gates consult this instead of
     treating every missing entry as end-of-log. *)
@@ -45,7 +50,11 @@ val segments_loaded : t -> int
 
 val consumed_events : t -> int
 (** Gated events consumed so far over the whole stream. It only grows,
-    so a change between two reads means replay made progress. *)
+    so a change between two reads means replay made progress. It also
+    versions the gating queries: {!peek_syscall}, {!peek_sync},
+    {!weak_turn} and {!unconstrained} can change their answer only when
+    it moves, since every change of a cursor or of the current segment
+    happens as an event is consumed. *)
 
 (** Whose syscall comes next, globally? [None] past the end of the log
     (unconstrained). *)

@@ -142,12 +142,13 @@ let test_record_replay () =
   check_contains "record stderr" rec_err "logs:";
   (* replay under a different scheduler seed must reproduce the
      recorded outputs exactly *)
-  let code, rep_out, _ =
+  let code, rep_out, rep_err =
     run_cli exe
       [ "replay"; mc; "--seed"; "12"; "--profile-runs"; "4"; "--logs"; prefix ]
   in
   Alcotest.(check int) "replay exit code" 0 code;
-  Alcotest.(check string) "replay outputs == recorded outputs" rec_out rep_out
+  Alcotest.(check string) "replay outputs == recorded outputs" rec_out rep_out;
+  check_contains "replay stderr" rep_err " replay-gate checks]"
 
 let test_det () =
   with_exe @@ fun exe ->
