@@ -75,9 +75,11 @@ let segment_line (s : segment) =
     s.sg_raw_order s.sg_z_input s.sg_z_order s.sg_md5_input s.sg_md5_order
     (Option.value s.sg_checkpoint ~default:"-")
 
+let manifest_trailer n = Fmt.str "end %d" n
+
 let manifest_string (m : manifest) =
   let lines = List.map segment_line (Array.to_list m.mf_segments) in
-  let trailer = Fmt.str "end %d" (Array.length m.mf_segments) in
+  let trailer = manifest_trailer (Array.length m.mf_segments) in
   String.concat "\n" ((magic :: lines) @ [ trailer; "" ])
 
 let is_hex s =
@@ -162,6 +164,9 @@ type writer_stats = {
 type writer = {
   w_dir : string;
   mutable w_segments : segment list;  (** newest first *)
+  w_manifest : Buffer.t;
+      (** the manifest up to its trailer: the header line, then one line
+          per sealed segment, formatted once when it is appended *)
   mutable w_closed : bool;
   mutable w_stats : writer_stats;
 }
@@ -182,9 +187,13 @@ let create_writer ~dir : writer =
         || f = manifest_file || f = manifest_tmp
       then try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
     (try Sys.readdir dir with Sys_error _ -> [||]);
+  let w_manifest = Buffer.create 4096 in
+  Buffer.add_string w_manifest magic;
+  Buffer.add_char w_manifest '\n';
   {
     w_dir = dir;
     w_segments = [];
+    w_manifest;
     w_closed = false;
     w_stats =
       { ws_segments = 0; ws_events = 0; ws_peak_raw = 0; ws_total_raw = 0;
@@ -194,9 +203,13 @@ let create_writer ~dir : writer =
 let manifest_of_writer w =
   { mf_segments = Log.oldest_first w.w_segments }
 
+(* the bytes [manifest_string] gives for the writer's manifest *)
 let flush_manifest w =
   let tmp = Filename.concat w.w_dir manifest_tmp in
-  write_file tmp (manifest_string (manifest_of_writer w));
+  Out_channel.with_open_bin tmp (fun oc ->
+      Buffer.output_buffer oc w.w_manifest;
+      output_string oc (manifest_trailer w.w_stats.ws_segments);
+      output_char oc '\n');
   Sys.rename tmp (Filename.concat w.w_dir manifest_file)
 
 let append (w : writer) ?checkpoint ~first_tick ~last_tick ~events
@@ -232,6 +245,8 @@ let append (w : writer) ?checkpoint ~first_tick ~last_tick ~events
     }
   in
   w.w_segments <- seg :: w.w_segments;
+  Buffer.add_string w.w_manifest (segment_line seg);
+  Buffer.add_char w.w_manifest '\n';
   let st = w.w_stats in
   let raw = String.length raw_i + String.length raw_o in
   w.w_stats <-

@@ -36,6 +36,9 @@ val checkpoint_file : int -> string
 
 val manifest_file : string
 
+(** The manifest's text, as written to [manifest_file]. *)
+val manifest_string : manifest -> string
+
 (* Writer *)
 
 type writer_stats = {
