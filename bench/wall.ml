@@ -27,16 +27,17 @@
     carries a {!Interp.Phases} attribution (which never perturbs the
     simulated execution — its tick count is asserted against the
     untimed runs) and lands in the JSON as [record_phases]. Results are
-    emitted as JSON (schema [chimera-wall-bench/4], documented in
+    emitted as JSON (schema [chimera-wall-bench/5], documented in
     EXPERIMENTS.md):
 
     {v
-    { "schema": "chimera-wall-bench/4",
+    { "schema": "chimera-wall-bench/5",
       "reps": 3, "workers": 4, "cores": 4, "jobs": 4,
       "benches": [
         { "name": "aget", "scale": 256,
           "record_ticks": 123456, "steps": 45678,
           "minor_words_per_step": 6.5,
+          "replay_sched_iters": 13360, "replay_turn_checks": 263,
           "phases": {
             "analyze":      {"mean_s": 0.41, "min_s": 0.40},
             "analyze_warm": {"mean_s": 0.002, "min_s": 0.001},
@@ -107,6 +108,9 @@ type row = {
   w_words_per_step : float;
       (** minor-heap words [Runner.record] allocated per step in that run:
           exact and repeatable in a single-domain run *)
+  w_replay_sched_iters : int;
+      (** scheduler iterations of the timed replay (rep 1) *)
+  w_replay_turn_checks : int;  (** replay-gate evaluations of that replay *)
   w_analyze : phase;  (** cold: no cache *)
   w_analyze_warm : phase;  (** cache hit on a populated store *)
   w_stages : (string * float) list;  (** mean seconds per static stage *)
@@ -138,6 +142,7 @@ let measure_wall ?(workers = 4) ?(cores = 4) ?pool ~reps
   let analyze_s = ref [] and instr_s = ref [] in
   let record_s = ref [] and replay_s = ref [] in
   let record_ticks = ref 0 and steps = ref 0 and words = ref 0. in
+  let replay_iters = ref 0 and turn_checks = ref 0 in
   let stage_total : (string, float) Hashtbl.t = Hashtbl.create 8 in
   let stage_sink name dt =
     Hashtbl.replace stage_total name
@@ -177,7 +182,9 @@ let measure_wall ?(workers = 4) ?(cores = 4) ?pool ~reps
       let o = r.Chimera.Runner.rc_outcome in
       record_ticks := o.Interp.Engine.o_ticks;
       steps := List.fold_left (fun n (_, s) -> n + s) 0 o.Interp.Engine.o_steps;
-      words := w_rec
+      words := w_rec;
+      replay_iters := rp.Interp.Engine.o_stats.n_sched_iters;
+      turn_checks := rp.Interp.Engine.o_stats.n_turn_checks
     end;
     analyze_s := t_an :: !analyze_s;
     instr_s := t_instr :: !instr_s;
@@ -232,6 +239,8 @@ let measure_wall ?(workers = 4) ?(cores = 4) ?pool ~reps
     w_record_ticks = !record_ticks;
     w_steps = !steps;
     w_words_per_step = !words /. float_of_int (max 1 !steps);
+    w_replay_sched_iters = !replay_iters;
+    w_replay_turn_checks = !turn_checks;
     w_analyze = phase_of !analyze_s;
     w_analyze_warm = phase_of !warm_s;
     w_stages = List.map (fun n -> (n, stage_mean n)) stage_names;
@@ -255,11 +264,13 @@ let row_json (r : row) : string =
   let p = r.w_rec_phases in
   Fmt.str
     {|    {"name": "%s", "scale": %d, "record_ticks": %d, "steps": %d, "minor_words_per_step": %.3f,
+     "replay_sched_iters": %d, "replay_turn_checks": %d,
      "phases": {%a, %a, %a, %a, %a},
      "analyze_stages": {%s},
      "record_phases": {"total_s": %.6f, "interp_s": %.6f, "recorder_s": %.6f, "scheduler_s": %.6f, "weaklock_s": %.6f},
      "record_replay_mean_s": %.6f}|}
     r.w_name r.w_scale r.w_record_ticks r.w_steps r.w_words_per_step
+    r.w_replay_sched_iters r.w_replay_turn_checks
     (pp_phase "analyze") r.w_analyze
     (pp_phase "analyze_warm") r.w_analyze_warm (pp_phase "instrument")
     r.w_instrument (pp_phase "record") r.w_record (pp_phase "replay")
@@ -341,7 +352,7 @@ let run ?(benches = Bench_progs.Registry.all) ?flame ~reps () =
   | None -> ());
   Harness.emit_json
     (Fmt.str
-       {|{"schema": "chimera-wall-bench/4", "reps": %d, "workers": 4, "cores": 4, "jobs": %d,
+       {|{"schema": "chimera-wall-bench/5", "reps": %d, "workers": 4, "cores": 4, "jobs": %d,
  "benches": [
 %s
  ],
