@@ -346,6 +346,12 @@ type t = {
   stats : stats;
   mutable ticks : int;
   mutable outputs : (K.tid_path * int) list;  (** reversed *)
+  out_text : Buffer.t;
+      (** the [" o:<path>=<v>"] text of [out_seen], oldest first: the
+          output part of {!state_digest}, extended only by it *)
+  mutable out_seen : (K.tid_path * int) list;
+      (** [outputs] as of the last {!state_digest}; a suffix of
+          [outputs], which only ever grows at the front *)
   mutable live : int;
   mutable exit_code : int option;
   mutable rng : int;
@@ -2590,13 +2596,28 @@ let status_code = function Runnable -> 0 | Done -> 1 | Blocked _ -> 2
     recorder's; it is compared only with other replays of the same log
     (a windowed replay against the full one). *)
 let state_digest (eng : t) : string =
-  let b = Buffer.create 512 in
+  (* format only the outputs since the last digest, so that a digest
+     per seal costs what the segment added, not the whole run *)
+  let rec fresh acc l =
+    if l == eng.out_seen then acc
+    else
+      match l with
+      | o :: older -> fresh (o :: acc) older
+      | [] -> invalid_arg "state_digest: outputs lost their digested suffix"
+  in
+  List.iter
+    (fun (p, v) ->
+      Buffer.add_string eng.out_text " o:";
+      K.add_tid_path eng.out_text p;
+      Buffer.add_char eng.out_text '=';
+      K.add_int eng.out_text v)
+    (fresh [] eng.outputs);
+  eng.out_seen <- eng.outputs;
+  let b = Buffer.create (Buffer.length eng.out_text + 512) in
   Buffer.add_string b
     (Fmt.str "mem=%d ticks=%d rng=%d live=%d" (Mem.state_hash eng.mem)
        eng.ticks eng.rng eng.live);
-  List.iter
-    (fun (p, v) -> Buffer.add_string b (Fmt.str " o:%a=%d" K.pp_tid_path p v))
-    (List.rev eng.outputs);
+  Buffer.add_buffer b eng.out_text;
   List.iter
     (fun tid ->
       let th = Hashtbl.find eng.threads tid in
@@ -2664,6 +2685,8 @@ let make_engine ?(config = default_config) ?(hooks = no_hooks ()) ?sink
       stats = new_stats ();
       ticks = 0;
       outputs = [];
+      out_text = Buffer.create 16;
+      out_seen = [];
       live = 0;
       exit_code = None;
       rng = (config.seed * 2) + 1;

@@ -87,35 +87,53 @@ let addr_key (m : t) (p : Value.ptr) : Key.addr =
   let b = block m p.p_block in
   { Key.a_origin = b.b_origin; a_off = p.p_off }
 
+(* the canonical text of a cell: a pointer names its block's origin,
+   which a freed block's stub still carries *)
+let add_value (m : t) out (v : Value.t) =
+  match v with
+  | Value.VInt n -> Key.add_int out n
+  | Value.VPtr p -> (
+      match find_opt m p.p_block with
+      | Some b ->
+          Buffer.add_string out "ptr(";
+          Key.add_origin out b.b_origin;
+          Buffer.add_char out '+';
+          Key.add_int out p.p_off;
+          Buffer.add_char out ')'
+      | None -> Buffer.add_string out "ptr(dead)")
+  | Value.VFun f ->
+      Buffer.add_char out '&';
+      Buffer.add_string out f
+
 (** Deterministic hash of every cell of all live global and heap
     memory, with pointer values canonicalized through their origins. Frames are excluded (they
     belong to still-running threads only at non-quiescent points; at
-    program end all frames are gone anyway). *)
+    program end all frames are gone anyway).
+
+    Each live global or heap block contributes the entry
+    ["<origin>=<cell>,<cell>,..."]; the hash is the MD5 of the sorted
+    entries joined by newlines. The text goes through one buffer with
+    {!Key.add_int} and {!Key.add_origin}, so a cell allocates nothing
+    and a freed frame's stub costs one table read. *)
 let state_hash (m : t) : int =
-  let canon_value (v : Value.t) =
-    match v with
-    | Value.VPtr p -> (
-        match find_opt m p.p_block with
-        | Some b -> Fmt.str "ptr(%a+%d)" Key.pp_origin b.b_origin p.p_off
-        | None -> "ptr(dead)")
-    | Value.VInt n -> string_of_int n
-    | Value.VFun f -> "&" ^ f
-  in
+  let out = Buffer.create 1024 in
   let entries = ref [] in
-  Array.iter
-    (function
-      | Some b -> (
-          match b.b_origin with
-          | Key.OGlobal _ | Key.OHeap _ when not b.b_freed ->
-              entries :=
-                Fmt.str "%a=%s" Key.pp_origin b.b_origin
-                  (String.concat ","
-                     (Array.to_list (Array.map canon_value b.cells)))
-                :: !entries
-          | _ -> ())
-      | None -> ())
-    m.blocks;
+  for id = 1 to m.next_id - 1 do
+    match m.blocks.(id) with
+    | Some ({ b_origin = Key.OGlobal _ | Key.OHeap _; b_freed = false; _ } as b)
+      ->
+        Buffer.clear out;
+        Key.add_origin out b.b_origin;
+        Buffer.add_char out '=';
+        for k = 0 to Array.length b.cells - 1 do
+          if k > 0 then Buffer.add_char out ',';
+          add_value m out (Array.unsafe_get b.cells k)
+        done;
+        entries := Buffer.contents out :: !entries
+    | _ -> ()
+  done;
   (* a digest of every entry: [Hashtbl.hash] of the list would stop
      after its first ten elements and miss any later block *)
-  let d = Digest.string (String.concat "\n" (List.sort compare !entries)) in
+  let sorted = List.sort String.compare !entries in
+  let d = Digest.string (String.concat "\n" sorted) in
   Int64.to_int (String.get_int64_le d 0) land max_int

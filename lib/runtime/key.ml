@@ -30,6 +30,42 @@ let pp_origin ppf = function
   | OFrame (p, n) -> Fmt.pf ppf "frame(%a,%d)" pp_tid_path p n
   | OHeap (p, n) -> Fmt.pf ppf "heap(%a,%d)" pp_tid_path p n
 
+(* the digits of [n <= 0], most significant first; working on the
+   negative side covers [min_int], which has no positive counterpart *)
+let rec add_neg_digits b n =
+  if n <= -10 then add_neg_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int b n =
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    add_neg_digits b n
+  end
+  else add_neg_digits b (-n)
+
+let rec add_path_steps b = function
+  | [] -> ()
+  | k :: ks ->
+      Buffer.add_char b '.';
+      add_int b k;
+      add_path_steps b ks
+
+let add_tid_path b p =
+  Buffer.add_string b "T0";
+  add_path_steps b p
+
+let add_seq_origin b kind p n =
+  Buffer.add_string b kind;
+  add_tid_path b p;
+  Buffer.add_char b ',';
+  add_int b n;
+  Buffer.add_char b ')'
+
+let add_origin b = function
+  | OGlobal g -> Buffer.add_string b g
+  | OFrame (p, n) -> add_seq_origin b "frame(" p n
+  | OHeap (p, n) -> add_seq_origin b "heap(" p n
+
 (** A stable memory address: origin + cell offset. *)
 type addr = { a_origin : origin; a_off : int }
 

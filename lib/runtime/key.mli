@@ -18,6 +18,14 @@ type origin =
 
 val pp_origin : origin Fmt.t
 
+(** Buffer writers for digests: each appends exactly the text of
+    [Fmt.int], {!pp_tid_path} and {!pp_origin}, and allocates nothing
+    once the buffer has room. *)
+
+val add_int : Buffer.t -> int -> unit
+val add_tid_path : Buffer.t -> tid_path -> unit
+val add_origin : Buffer.t -> origin -> unit
+
 type addr = { a_origin : origin; a_off : int }
 (** A stable memory address: origin + cell offset. *)
 

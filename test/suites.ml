@@ -31,6 +31,7 @@ let all : (string * unit Alcotest.test_case list) list =
     ("fuzz", Test_fuzz.suite);
     ("detexec", Test_detexec.suite);
     ("seglog", Test_seglog.suite);
+    ("digest", Test_digest.suite);
     ("e2e", Test_e2e.suite);
     ("refine", Test_refine.suite);
   ]
