@@ -20,12 +20,24 @@ let window = 8192
 let max_literal_run = 128
 let max_tries = 32
 
-(* [prev] is a ring over the last [ring_mask + 1] positions (one slot
-   per position for a shorter input). A chain link is read only from a
-   candidate within the window, and the slot of such a candidate is
-   overwritten only [ring_mask + 1 > window] positions later, after the
-   scan has moved past reach of it. *)
+(* [prev] is a ring over the last [ring_mask + 1] positions. A chain
+   link is read only from a candidate within the window, and the slot of
+   such a candidate is overwritten only [ring_mask + 1 > window]
+   positions later, after the scan has moved past reach of it.
+
+   Both tables belong to the domain and are reused by every scan on it,
+   so a scan allocates no table: a fresh [head] would be 128 KiB straight
+   on the major heap, twice per sealed segment. A scan refills [head]
+   with -1 but leaves [prev] as the last scan left it. No stale link is
+   ever read: the first candidate comes from [head], so this scan
+   inserted it, and a link is read only from a candidate's own slot,
+   which its insertion earlier in this scan wrote with a position
+   inserted earlier still (or -1). *)
 let ring_mask = 0x3fff
+
+let tables : (int array * int array) Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      (Array.make 0x4000 (-1), Array.make (ring_mask + 1) (-1)))
 
 let hash3 (s : string) i =
   ((Char.code (String.unsafe_get s i) lsl 10)
@@ -93,8 +105,8 @@ let longest_match head prev (src : string) n pos (dist : int ref) =
    result is the compressed size either way. *)
 let scan (src : string) (out : Buffer.t option) : int =
   let n = String.length src in
-  let head = Array.make 0x4000 (-1) in
-  let prev = Array.make (max 1 (min n (ring_mask + 1))) (-1) in
+  let head, prev = Domain.DLS.get tables in
+  Array.fill head 0 (Array.length head) (-1);
   let dist = ref 0 in
   let size = ref 0 in
   let lit_start = ref 0 in

@@ -139,9 +139,10 @@ let minor_words f =
    161_059 and decode 335_307 words on the then 30 KB order log when both
    varint loops were local closures). The encode and size ceilings sit
    on the input log because the order log is 168 bytes: too few varints
-   for a per-varint closure to show, and so short that the compressor's
-   169-word position ring is allocated on the minor heap (an array of
-   more than 256 words goes straight to the major heap). *)
+   for a per-varint closure to show. [Gc.minor_words] does not see an
+   array of more than 256 words, which goes straight to the major heap;
+   the compressor's tables are such arrays, so they are guarded by
+   {!test_tables_reused}. *)
 let test_alloc_ceilings () =
   let log = List.assoc "pfscan" (cell_logs ()) in
   let i = Replay.Log.encode_input_log log in
@@ -156,10 +157,55 @@ let test_alloc_ceilings () =
   check "Log.decode" 10_704 (fun () -> Replay.Log.decode i o);
   check "Zcompress.compressed_size" 3 (fun () -> Zcompress.compressed_size i)
 
+(* [Gc.allocated_bytes] counts the blocks allocated straight on the
+   major heap too, which [Gc.minor_words] misses: with a fresh
+   16,384-entry [head] table (128 KiB) per call, this call allocated
+   238,720 bytes. The first call may set up the domain's tables, so the
+   second is measured. *)
+let test_tables_reused () =
+  let log = List.assoc "pfscan" (cell_logs ()) in
+  let o = Replay.Log.encode_order_log log in
+  ignore (Zcompress.compressed_size o : int);
+  let b0 = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (Zcompress.compressed_size o));
+  let bytes = Gc.allocated_bytes () -. b0 in
+  if bytes >= 16_384. then
+    Alcotest.failf "repeated compressed_size allocated %.0f bytes" bytes
+
+(* The tables outlive a scan: [head] is refilled on every call and
+   [prev] is not, so each pinned row is compressed again right after a
+   64 KiB input has filled the whole ring, and the corpus is compressed
+   on two domains at once, each with its own tables *)
+let test_tables_reuse_exact () =
+  let rows = corpus () in
+  let filler = String.sub synthetic 0 65_536 in
+  List.iter
+    (fun (name, s) ->
+      let _, _, z_md5 = List.find (fun (n, _, _) -> n = name) pins in
+      ignore (Zcompress.compressed_size filler : int);
+      Alcotest.(check string)
+        (name ^ ": compressed bytes after a 64 KiB input")
+        z_md5
+        (md5 (Zcompress.compress s)))
+    rows;
+  let serial = List.map (fun (_, s) -> Zcompress.compress s) rows in
+  let pooled =
+    Par.Pool.with_pool ~clamp:false ~domains:2 (fun pool ->
+        Par.Pool.map_list pool
+          (fun (_, s) -> Zcompress.compress s)
+          (rows @ List.rev rows))
+  in
+  Alcotest.(check (list string)) "2-domain pool == serial"
+    (serial @ List.rev serial) pooled
+
 let suite =
   [
     Alcotest.test_case "compress output pinned (golden cells + 64 KiB)" `Quick
       test_compress_pins;
     Alcotest.test_case "encode/decode/size allocation ceilings" `Quick
       test_alloc_ceilings;
+    Alcotest.test_case "compressor tables reused across calls" `Quick
+      test_tables_reused;
+    Alcotest.test_case "reused tables give the pinned bytes" `Quick
+      test_tables_reuse_exact;
   ]
