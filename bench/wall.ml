@@ -370,6 +370,7 @@ type sus_row = {
   s_name : string;
   s_scale : int;
   s_requests : int;  (** syscalls served by the recorded run *)
+  s_outputs : int;  (** outputs: each seal's and drain's digest covers them *)
   s_ticks : int;
   s_segments : int;
   s_events : int;  (** gated events spilled across the segments *)
@@ -378,6 +379,8 @@ type sus_row = {
   s_total_z : int;  (** compressed on-disk footprint *)
   s_record_s : float;
   s_replay_s : float;
+  s_record_alloc_mb : float;  (** minor-heap MB of the timed record *)
+  s_replay_alloc_mb : float;  (** minor-heap MB of the full streamed replay *)
   s_window_s : float;  (** windowed replay to the mid-run checkpoint *)
   s_window_segments : int;  (** segments the window actually read *)
 }
@@ -401,16 +404,20 @@ let measure_sustained ?(workers = 4) ?(cores = 4)
       (Filename.get_temp_dir_name ())
       (Fmt.str "chimera-sustained-%d-%s" (Unix.getpid ()) b.b_name)
   in
+  let w0 = Gc.minor_words () in
   let sr, t_rec =
     timed (fun () ->
         Chimera.Runner.record_segmented ~config ~io ~dir
           ~events_per_segment:8192 an.an_instrumented)
   in
+  let w1 = Gc.minor_words () in
   let st = sr.Chimera.Runner.sr_stats in
   let full, t_rep =
     timed (fun () ->
         Chimera.Runner.replay_streamed ~config ~io ~dir an.an_instrumented)
   in
+  let w2 = Gc.minor_words () in
+  let mb words = words *. float_of_int (Sys.word_size / 8) /. 1e6 in
   (match
      Chimera.Runner.same_execution sr.Chimera.Runner.sr_outcome
        full.Chimera.Runner.st_outcome
@@ -451,6 +458,7 @@ let measure_sustained ?(workers = 4) ?(cores = 4)
     s_name = b.b_name;
     s_scale = scale;
     s_requests = sr.Chimera.Runner.sr_outcome.o_stats.n_syscalls;
+    s_outputs = List.length sr.Chimera.Runner.sr_outcome.o_outputs;
     s_ticks = sr.Chimera.Runner.sr_outcome.o_ticks;
     s_segments = st.Replay.Seglog.ws_segments;
     s_events = st.Replay.Seglog.ws_events;
@@ -459,26 +467,30 @@ let measure_sustained ?(workers = 4) ?(cores = 4)
     s_total_z = st.Replay.Seglog.ws_total_z;
     s_record_s = t_rec;
     s_replay_s = t_rep;
+    s_record_alloc_mb = mb (w1 -. w0);
+    s_replay_alloc_mb = mb (w2 -. w1);
     s_window_s = t_win;
     s_window_segments = win.Chimera.Runner.st_segments_loaded;
   }
 
 let sus_row_json (r : sus_row) : string =
   Fmt.str
-    {|    {"name": "%s", "scale": %d, "requests": %d, "ticks": %d,
-     "segments": %d, "events": %d,
+    {|    {"name": "%s", "scale": %d, "requests": %d, "outputs": %d,
+     "ticks": %d, "segments": %d, "events": %d,
      "peak_raw_bytes": %d, "total_raw_bytes": %d, "total_z_bytes": %d,
      "residency_ratio": %.2f,
      "record_s": %.3f, "replay_s": %.3f, "window_s": %.3f,
+     "record_alloc_mb": %.1f, "replay_alloc_mb": %.1f,
      "window_segments": %d}|}
-    r.s_name r.s_scale r.s_requests r.s_ticks r.s_segments r.s_events
-    r.s_peak_raw r.s_total_raw r.s_total_z (residency_ratio r) r.s_record_s
-    r.s_replay_s r.s_window_s r.s_window_segments
+    r.s_name r.s_scale r.s_requests r.s_outputs r.s_ticks r.s_segments
+    r.s_events r.s_peak_raw r.s_total_raw r.s_total_z (residency_ratio r)
+    r.s_record_s r.s_replay_s r.s_window_s r.s_record_alloc_mb
+    r.s_replay_alloc_mb r.s_window_segments
 
 (** The sustained-load experiment (`bench sustained`, and the heart of
     `make log-check`): serve tens of thousands of requests through each
     server benchmark under the spilling recorder and emit a
-    [chimera-sustained-log/1] JSON report. Fails — beyond the replay
+    [chimera-sustained-log/2] JSON report. Fails — beyond the replay
     checks in {!measure_sustained} — when a server's sustained run
     serves fewer than [min_requests] syscalls (the load wasn't
     sustained) or when its peak resident segment is not at least
@@ -516,7 +528,7 @@ let sustained ?(benches = Bench_progs.Registry.all) ?(min_requests = 20_000)
     rows;
   Harness.emit_json
     (Fmt.str
-       {|{"schema": "chimera-sustained-log/1", "workers": 4, "cores": 4,
+       {|{"schema": "chimera-sustained-log/2", "workers": 4, "cores": 4,
  "min_requests": %d, "min_residency_ratio": %.1f,
  "benches": [
 %s
