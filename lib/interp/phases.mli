@@ -5,10 +5,11 @@
     bookkeeping (maintenance + idle fast-forward), and weak-lock
     admission (timeout sweeps). The recorder bucket holds the appends of
     gated events only (inputs, synchronization, weak-lock and
-    forced-release entries). The per-core-tick schedule update is left
-    off the clock, whose two reads would cost more than the update, so
-    it counts as interpreter time; so does the idle-span skip, which
-    stands in for such ticks. Buckets are swap-free monotonic-clock
+    forced-release entries). Per-core-tick work is left off the clock,
+    whose two reads would cost more than one core's tick, so it is the
+    scheduler cost this books as interpreter time: [tick_core], the
+    start-core draw, the idle-span bound and the skip that stands in
+    for idle ticks (DESIGN.md §22). Buckets are swap-free monotonic-clock
     spans around non-suspending sections only, so they never straddle a
     coroutine switch; interpreter time is what remains of the run total
     after the explicit buckets. With no [Phases.t]

@@ -62,6 +62,26 @@ let check_contains what hay needle =
     (Fmt.str "%s contains %S" what needle)
     true (contains hay needle)
 
+(* The stderr summary of a run: scheduler iterations and core ticks are
+   both printed; an iteration runs at most one tick per core (4 by
+   default), and an empty core's tick is skipped *)
+let check_summary what err =
+  let line =
+    List.find
+      (fun l -> contains l "simulated ticks")
+      (String.split_on_char '\n' err)
+  in
+  Scanf.sscanf line
+    "[%d simulated ticks (%d scheduler iterations, %d core ticks,"
+    (fun ticks iters core_ticks ->
+      if
+        not
+          (0 < iters && iters <= ticks && 0 < core_ticks
+          && core_ticks <= 4 * iters)
+      then
+        Alcotest.failf "%s: %d ticks, %d scheduler iterations, %d core ticks"
+          what ticks iters core_ticks)
+
 (* the canonical racy program: two threads increment a shared counter
    through a read-modify-write, under no lock *)
 let racy_src =
@@ -120,7 +140,8 @@ let test_run () =
   Alcotest.(check int) "run exit code" 0 code;
   Alcotest.(check bool) "run printed the counter" true (String.trim out <> "");
   check_contains "run stderr" err "simulated ticks";
-  check_contains "run stderr" err " steps, "
+  check_contains "run stderr" err " steps, ";
+  check_summary "run stderr" err
 
 let test_record_replay () =
   with_exe @@ fun exe ->
@@ -148,7 +169,8 @@ let test_record_replay () =
   in
   Alcotest.(check int) "replay exit code" 0 code;
   Alcotest.(check string) "replay outputs == recorded outputs" rec_out rep_out;
-  check_contains "replay stderr" rep_err " replay-gate checks]"
+  check_contains "replay stderr" rep_err " replay-gate checks]";
+  check_summary "replay stderr" rep_err
 
 let test_det () =
   with_exe @@ fun exe ->
