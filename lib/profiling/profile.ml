@@ -38,8 +38,18 @@ let create () =
     runs = 0;
   }
 
-(* one entry of a thread's dynamic loop stack *)
-type loop_slot = { s_lid : int; mutable s_ctr : int ref option }
+(* one entry of a thread's dynamic loop stack. It caches its loop's
+   statement and iteration counters once resolved: lazily, on the first
+   statement (iteration) of that loop entry, so a loop that iterates
+   without executing a statement still leaves no [loop_insns] entry. *)
+type loop_slot = {
+  s_lid : int;
+  mutable s_ctr : int ref option;
+  mutable s_iters : int ref option;
+}
+
+(* a thread's call stack (a multiset: recursion-safe) and loop stack *)
+type tstate = { mutable calls : string list; mutable loops : loop_slot list }
 
 let norm_pair f g = if f <= g then (f, g) else (g, f)
 
@@ -64,40 +74,28 @@ let avg_loop_body (t : t) (lid : int) : float option =
 (** Instrument [hooks] so that one engine run feeds this profile. Returns
     the hooks for convenience. *)
 let attach (t : t) (hooks : Interp.Engine.hooks) : Interp.Engine.hooks =
-  (* per-thread call stacks as multisets (recursion-safe) *)
-  let stacks : (int, string list ref) Hashtbl.t = Hashtbl.create 16 in
-  let stack tid =
-    match Hashtbl.find_opt stacks tid with
-    | Some r -> r
-    | None ->
-        let r = ref [] in
-        Hashtbl.replace stacks tid r;
-        r
-  in
-  (* Per-thread loop stacks for statement attribution. A stack slot
-     caches its loop's statement counter once resolved — resolved
-     lazily, on the first statement of that loop entry, so a loop that
-     iterates without executing a statement still leaves no
-     [loop_insns] entry (exactly as before). The last-queried thread is
-     memoized: the scheduler runs one thread for a whole quantum, so
-     the per-statement path is usually a single int compare. *)
-  let loop_stacks : (int, loop_slot list ref) Hashtbl.t = Hashtbl.create 16 in
-  let last_tid = ref min_int in
-  let last_stack = ref (ref []) in
-  let loop_stack tid =
-    if tid = !last_tid then !last_stack
+  let states : (int, tstate) Hashtbl.t = Hashtbl.create 16 in
+  (* Per-thread state behind a direct-mapped cache of 16 slots keyed by
+     tid. The cores interleave their threads tick by tick, so the last
+     thread queried is rarely the next one; the cache makes the
+     per-statement and per-iteration paths an int compare and a load. *)
+  let cache_tid = Array.make 16 min_int in
+  let cache_st = Array.make 16 { calls = []; loops = [] } in
+  let state tid =
+    let i = tid land 15 in
+    if Array.unsafe_get cache_tid i = tid then Array.unsafe_get cache_st i
     else begin
-      let r =
-        match Hashtbl.find_opt loop_stacks tid with
-        | Some r -> r
+      let st =
+        match Hashtbl.find_opt states tid with
+        | Some st -> st
         | None ->
-            let r = ref [] in
-            Hashtbl.replace loop_stacks tid r;
-            r
+            let st = { calls = []; loops = [] } in
+            Hashtbl.replace states tid st;
+            st
       in
-      last_tid := tid;
-      last_stack := r;
-      r
+      cache_tid.(i) <- tid;
+      cache_st.(i) <- st;
+      st
     end
   in
   hooks.on_enter_fun <-
@@ -112,31 +110,41 @@ let attach (t : t) (hooks : Interp.Engine.hooks) : Interp.Engine.hooks =
                 (fun g ->
                   t.concurrent_pairs <-
                     Pairset.add (norm_pair f g) t.concurrent_pairs)
-                (List.sort_uniq compare !st))
-          stacks;
-        let st = stack tid in
-        st := f :: !st);
+                (List.sort_uniq compare st.calls))
+          states;
+        let st = state tid in
+        st.calls <- f :: st.calls);
   hooks.on_exit_fun <-
     Some
       (fun tid _f ->
-        let st = stack tid in
-        match !st with [] -> () | _ :: rest -> st := rest);
+        let st = state tid in
+        match st.calls with [] -> () | _ :: rest -> st.calls <- rest);
   hooks.on_loop_enter <-
     Some
       (fun tid lid ->
-        let ls = loop_stack tid in
-        ls := { s_lid = lid; s_ctr = None } :: !ls);
+        let st = state tid in
+        st.loops <- { s_lid = lid; s_ctr = None; s_iters = None } :: st.loops);
   hooks.on_loop_exit <-
     Some
       (fun tid _lid ->
-        let ls = loop_stack tid in
-        match !ls with [] -> () | _ :: rest -> ls := rest);
+        let st = state tid in
+        match st.loops with [] -> () | _ :: rest -> st.loops <- rest);
   hooks.on_loop_iter <-
-    Some (fun _tid lid -> incr (counter t.loop_iters lid));
+    Some
+      (fun tid lid ->
+        match (state tid).loops with
+        | slot :: _ when slot.s_lid = lid -> (
+            match slot.s_iters with
+            | Some r -> incr r
+            | None ->
+                let r = counter t.loop_iters lid in
+                slot.s_iters <- Some r;
+                incr r)
+        | _ -> incr (counter t.loop_iters lid));
   hooks.on_stmt <-
     Some
       (fun tid _sid ->
-        match !(loop_stack tid) with
+        match (state tid).loops with
         | slot :: _ -> (
             match slot.s_ctr with
             | Some r -> incr r
