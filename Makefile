@@ -63,17 +63,19 @@ par-check:
 
 # wall-clock phase timings of the pipeline (analyze cold + warm-cache /
 # instrument / record / replay) per benchmark, JSON on stdout
-# (schema chimera-wall-bench/4, methodology in EXPERIMENTS.md)
+# (schema chimera-wall-bench/5, methodology in EXPERIMENTS.md)
 bench-wall:
 	dune exec bench/main.exe -- wall --reps $(REPS) -j $(WALLJ)
 
 # wall-clock regression gate: re-measure and fail if any benchmark's
 # record+replay or analyze mean exceeds TOL x the committed baseline,
 # the aggregate warm-cache analyze speedup drops below WARMX, or the
-# scheduler+weak-lock share of attributed record time exceeds SCHEDSHARE
+# scheduler+weak-lock share of attributed record time exceeds SCHEDSHARE;
+# also writes the record-phase flamegraph (Chrome trace) of the same run
 bench-regress:
 	dune build bench/main.exe
-	./_build/default/bench/main.exe wall --reps $(REPS) -j $(WALLJ) > /tmp/chimera-wall-fresh.json
+	./_build/default/bench/main.exe wall --reps $(REPS) -j $(WALLJ) \
+		--flame /tmp/chimera-wall-flame.json > /tmp/chimera-wall-fresh.json
 	./_build/default/bench/main.exe wallcmp --max-ratio $(TOL) \
 		--min-warm-speedup $(WARMX) --max-sched-share $(SCHEDSHARE) \
 		bench/wall_baseline.json /tmp/chimera-wall-fresh.json

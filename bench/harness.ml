@@ -237,22 +237,12 @@ let measure ?(opts = Instrument.Plan.all_opts) ?(workers = 4) ?(cores = 4)
   }
 
 (* ------------------------------------------------------------------ *)
-(* JSON emission/reading: both machine-readable outputs (the `json`
-   experiment and the wall bench) go through the shared Bjson reader as
-   a self-check, so a formatting slip can never ship an unparsable
-   document for the regression gates to choke on later. *)
+(* JSON emission: the machine-readable outputs (the `json` experiment,
+   the wall and sustained benches) are Bjson values, so the writer that
+   [parse (to_string v) = v] is proven for spells every document. *)
 
-(** Validate [doc] with {!Bjson} and print it to stdout; fails loudly on
-    malformed output instead of emitting it. *)
-let emit_json (doc : string) : unit =
-  (match Bjson.parse doc with
-  | exception Bjson.Bad m ->
-      Fmt.failwith "harness emitted invalid JSON: %s" m
-  | _ -> ());
-  print_string doc
-
-(** Load a harness-emitted JSON document. *)
-let load_json = Bjson.load_file
+(** Print [doc] to stdout, compact, with one trailing newline. *)
+let emit_json (doc : Bjson.t) : unit = print_endline (Bjson.to_string doc)
 
 (* ------------------------------------------------------------------ *)
 (* table formatting *)

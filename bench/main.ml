@@ -423,45 +423,40 @@ let micro () =
 
 (** Machine-readable counters for tracking the MHP pruning win across
     PRs: candidate race pairs, statically pruned pairs, and the weak-lock
-    acquisitions the surviving pairs cost at record time. Hand-rolled
-    JSON on stdout (one object per benchmark, newline-free values). *)
+    acquisitions the surviving pairs cost at record time. One compact
+    {!Bjson} document on stdout, one object per benchmark. *)
 let json () =
   let one (b : Bench_progs.Registry.bench) =
     let m = measure ~trials:1 ~traced:true b in
-    let trace_events =
-      match m.m_trace with Some su -> su.Trace.su_events | None -> 0
+    let trace_events, trace_dropped, dropped_by_thread =
+      match m.m_trace with
+      | Some su ->
+          (su.Trace.su_events, su.Trace.su_dropped, su.Trace.su_dropped_by_thread)
+      | None -> (0, 0, [])
     in
-    let trace_dropped =
-      match m.m_trace with Some su -> su.Trace.su_dropped | None -> 0
-    in
-    (* per-thread ring-overflow losses, keyed by the stable tid_path; an
-       empty object certifies the trace aggregates above are complete *)
-    let dropped_by_thread =
-      let pairs =
-        match m.m_trace with
-        | Some su -> su.Trace.su_dropped_by_thread
-        | None -> []
-      in
-      Fmt.str "{%s}"
-        (String.concat ", "
-           (List.map
-              (fun (tp, d) ->
-                Fmt.str {|"%a": %d|} Runtime.Key.pp_tid_path tp d)
-              pairs))
-    in
-    Fmt.str
-      {|    {"name": "%s", "workers": %d, "static_pairs": %d, "pruned_pairs": %d, "kept_pairs": %d, "plan_acquisitions": %d, "elided_acquisitions": %d, "runtime_acquisitions": %.1f, "record_overhead": %.3f, "forced_releases": %d, "handoffs_served": %d, "handoffs_expired": %d, "block_events": %d, "mean_queue_depth": %.2f, "trace_events": %d, "trace_dropped": %d, "trace_dropped_by_thread": %s}|}
-      m.m_name m.m_workers m.m_static_pairs m.m_pruned_pairs m.m_races
-      m.m_plan_acqs m.m_elided_acqs (runtime_acquisitions m) (record_ov m)
-      m.m_forced m.m_handoff_served m.m_handoff_expired (block_events m)
-      (mean_queue_depth m) trace_events trace_dropped dropped_by_thread
+    let int = Bjson.int in
+    Bjson.Obj
+      [ ("name", Str m.m_name); ("workers", int m.m_workers);
+        ("static_pairs", int m.m_static_pairs); ("pruned_pairs", int m.m_pruned_pairs);
+        ("kept_pairs", int m.m_races); ("plan_acquisitions", int m.m_plan_acqs);
+        ("elided_acquisitions", int m.m_elided_acqs);
+        ("runtime_acquisitions", Num (runtime_acquisitions m));
+        ("record_overhead", Num (record_ov m)); ("forced_releases", int m.m_forced);
+        ("handoffs_served", int m.m_handoff_served);
+        ("handoffs_expired", int m.m_handoff_expired);
+        ("block_events", int (block_events m));
+        ("mean_queue_depth", Num (mean_queue_depth m));
+        ("trace_events", int trace_events); ("trace_dropped", int trace_dropped);
+        (* per-thread ring-overflow losses, keyed by the stable tid_path;
+           an empty object certifies the trace aggregates above are
+           complete *)
+        ( "trace_dropped_by_thread",
+          Obj
+            (List.map
+               (fun (tp, d) -> (Fmt.str "%a" Runtime.Key.pp_tid_path tp, int d))
+               dropped_by_thread) ) ]
   in
-  emit_json
-    (Fmt.str {|{"benches": [
-%s
-]}
-|}
-       (String.concat ",\n" (par_map one benches)))
+  emit_json (Obj [ ("benches", List (par_map one benches)) ])
 
 (** The lockopt gate (make lockopt-check): run every benchmark with the
     must-lockset elision on and off, diffing each configuration's replay

@@ -27,8 +27,9 @@
     carries a {!Interp.Phases} attribution (which never perturbs the
     simulated execution — its tick count is asserted against the
     untimed runs) and lands in the JSON as [record_phases]. Results are
-    emitted as JSON (schema [chimera-wall-bench/5], documented in
-    EXPERIMENTS.md):
+    emitted as one compact {!Bjson} document (schema
+    [chimera-wall-bench/5], documented in EXPERIMENTS.md), shown here
+    indented:
 
     {v
     { "schema": "chimera-wall-bench/5",
@@ -257,30 +258,31 @@ let measure_wall ?(workers = 4) ?(cores = 4) ?pool ~reps
       };
   }
 
-let pp_phase name ppf (p : phase) =
-  Fmt.pf ppf {|"%s": {"mean_s": %.6f, "min_s": %.6f}|} name p.mean_s p.min_s
-
-let row_json (r : row) : string =
-  let p = r.w_rec_phases in
-  Fmt.str
-    {|    {"name": "%s", "scale": %d, "record_ticks": %d, "steps": %d, "minor_words_per_step": %.3f,
-     "replay_sched_iters": %d, "replay_turn_checks": %d,
-     "phases": {%a, %a, %a, %a, %a},
-     "analyze_stages": {%s},
-     "record_phases": {"total_s": %.6f, "interp_s": %.6f, "recorder_s": %.6f, "scheduler_s": %.6f, "weaklock_s": %.6f},
-     "record_replay_mean_s": %.6f}|}
-    r.w_name r.w_scale r.w_record_ticks r.w_steps r.w_words_per_step
-    r.w_replay_sched_iters r.w_replay_turn_checks
-    (pp_phase "analyze") r.w_analyze
-    (pp_phase "analyze_warm") r.w_analyze_warm (pp_phase "instrument")
-    r.w_instrument (pp_phase "record") r.w_record (pp_phase "replay")
-    r.w_replay
-    (String.concat ", "
-       (List.map
-          (fun (n, s) -> Fmt.str {|"%s": %.6f|} n s)
-          r.w_stages))
-    p.rp_total p.rp_interp p.rp_recorder p.rp_scheduler p.rp_weaklock
-    (rec_rep r)
+let row_json (r : row) : Bjson.t =
+  let p = r.w_rec_phases and int = Bjson.int in
+  let phase (p : phase) =
+    Bjson.Obj [ ("mean_s", Num p.mean_s); ("min_s", Num p.min_s) ]
+  in
+  Obj
+    [
+      ("name", Str r.w_name); ("scale", int r.w_scale);
+      ("record_ticks", int r.w_record_ticks); ("steps", int r.w_steps);
+      ("minor_words_per_step", Num r.w_words_per_step);
+      ("replay_sched_iters", int r.w_replay_sched_iters);
+      ("replay_turn_checks", int r.w_replay_turn_checks);
+      ( "phases",
+        Obj
+          [ ("analyze", phase r.w_analyze); ("analyze_warm", phase r.w_analyze_warm);
+            ("instrument", phase r.w_instrument); ("record", phase r.w_record);
+            ("replay", phase r.w_replay) ] );
+      ("analyze_stages", Obj (List.map (fun (n, s) -> (n, Bjson.Num s)) r.w_stages));
+      ( "record_phases",
+        Obj
+          [ ("total_s", Num p.rp_total); ("interp_s", Num p.rp_interp);
+            ("recorder_s", Num p.rp_recorder); ("scheduler_s", Num p.rp_scheduler);
+            ("weaklock_s", Num p.rp_weaklock) ] );
+      ("record_replay_mean_s", Num (rec_rep r));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Chrome-trace flamegraph of the record-phase breakdown *)
@@ -288,49 +290,27 @@ let row_json (r : row) : string =
 (** One trace row (chrome tid) per benchmark; within it, one complete
     ("ph":"X") event per phase bucket laid end to end, microsecond
     timestamps. Load in chrome://tracing or Perfetto. *)
-let flame_json (rows : row list) : string =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "[";
-  let first = ref true in
-  let event fields =
-    if not !first then Buffer.add_string b ",\n";
-    first := false;
-    Buffer.add_string b "{";
-    Buffer.add_string b (String.concat "," fields);
-    Buffer.add_string b "}"
+let flame_json (rows : row list) : Bjson.t =
+  let row i r =
+    let p = r.w_rec_phases and cursor = ref 0 in
+    let event (name, dur_s) =
+      let ts = !cursor and dur = int_of_float (1e6 *. dur_s) in
+      if dur <= 0 then None
+      else begin
+        cursor := ts + dur;
+        Some
+          (Bjson.Obj
+             [ ("name", Str name); ("cat", Str "record"); ("ph", Str "X");
+               ("pid", Bjson.int 0); ("tid", Bjson.int i); ("ts", Bjson.int ts);
+               ("dur", Bjson.int dur) ])
+      end
+    in
+    Trace.thread_name_event ~tid:i (r.w_name ^ " record")
+    :: List.filter_map event
+         [ ("interp", p.rp_interp); ("recorder", p.rp_recorder);
+           ("scheduler", p.rp_scheduler); ("weaklock", p.rp_weaklock) ]
   in
-  List.iteri
-    (fun i r ->
-      event
-        [
-          {|"name":"thread_name"|}; {|"ph":"M"|}; {|"pid":0|};
-          Fmt.str {|"tid":%d|} i;
-          Fmt.str {|"args":{"name":"%s record"}|} r.w_name;
-        ];
-      let us s = int_of_float (1e6 *. s) in
-      let p = r.w_rec_phases in
-      let cursor = ref 0 in
-      List.iter
-        (fun (name, dur_s) ->
-          let dur = us dur_s in
-          if dur > 0 then begin
-            event
-              [
-                Fmt.str {|"name":"%s"|} name; {|"cat":"record"|};
-                {|"ph":"X"|}; {|"pid":0|};
-                Fmt.str {|"tid":%d|} i;
-                Fmt.str {|"ts":%d|} !cursor;
-                Fmt.str {|"dur":%d|} dur;
-              ];
-            cursor := !cursor + dur
-          end)
-        [
-          ("interp", p.rp_interp); ("recorder", p.rp_recorder);
-          ("scheduler", p.rp_scheduler); ("weaklock", p.rp_weaklock);
-        ])
-    rows;
-  Buffer.add_string b "]\n";
-  Buffer.contents b
+  List (List.concat (List.mapi row rows))
 
 (** Run the wall benchmark over [benches] and print the JSON document.
     Benches run one after another; the harness pool (when installed) is
@@ -345,22 +325,17 @@ let run ?(benches = Bench_progs.Registry.all) ?flame ~reps () =
   let total = now_s () -. t0 in
   (match flame with
   | Some file ->
-      let oc = open_out file in
-      output_string oc (flame_json rows);
-      close_out oc;
+      Out_channel.with_open_bin file (fun oc ->
+          output_string oc (Bjson.to_string (flame_json rows) ^ "\n"));
       Fmt.epr "flamegraph: wrote %s (load in chrome://tracing)@." file
   | None -> ());
   Harness.emit_json
-    (Fmt.str
-       {|{"schema": "chimera-wall-bench/5", "reps": %d, "workers": 4, "cores": 4, "jobs": %d,
- "benches": [
-%s
- ],
- "total_wall_s": %.3f}
-|}
-       reps jobs
-       (String.concat ",\n" (List.map row_json rows))
-       total)
+    (Obj
+       [
+         ("schema", Str "chimera-wall-bench/5"); ("reps", Bjson.int reps);
+         ("workers", Bjson.int 4); ("cores", Bjson.int 4); ("jobs", Bjson.int jobs);
+         ("benches", List (List.map row_json rows)); ("total_wall_s", Num total);
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Sustained-load segmented recording (the `sustained` experiment):
@@ -473,19 +448,20 @@ let measure_sustained ?(workers = 4) ?(cores = 4)
     s_window_segments = win.Chimera.Runner.st_segments_loaded;
   }
 
-let sus_row_json (r : sus_row) : string =
-  Fmt.str
-    {|    {"name": "%s", "scale": %d, "requests": %d, "outputs": %d,
-     "ticks": %d, "segments": %d, "events": %d,
-     "peak_raw_bytes": %d, "total_raw_bytes": %d, "total_z_bytes": %d,
-     "residency_ratio": %.2f,
-     "record_s": %.3f, "replay_s": %.3f, "window_s": %.3f,
-     "record_alloc_mb": %.1f, "replay_alloc_mb": %.1f,
-     "window_segments": %d}|}
-    r.s_name r.s_scale r.s_requests r.s_outputs r.s_ticks r.s_segments
-    r.s_events r.s_peak_raw r.s_total_raw r.s_total_z (residency_ratio r)
-    r.s_record_s r.s_replay_s r.s_window_s r.s_record_alloc_mb
-    r.s_replay_alloc_mb r.s_window_segments
+let sus_row_json (r : sus_row) : Bjson.t =
+  let int = Bjson.int in
+  Obj
+    [
+      ("name", Str r.s_name); ("scale", int r.s_scale); ("requests", int r.s_requests);
+      ("outputs", int r.s_outputs); ("ticks", int r.s_ticks);
+      ("segments", int r.s_segments); ("events", int r.s_events);
+      ("peak_raw_bytes", int r.s_peak_raw); ("total_raw_bytes", int r.s_total_raw);
+      ("total_z_bytes", int r.s_total_z); ("residency_ratio", Num (residency_ratio r));
+      ("record_s", Num r.s_record_s); ("replay_s", Num r.s_replay_s);
+      ("window_s", Num r.s_window_s); ("record_alloc_mb", Num r.s_record_alloc_mb);
+      ("replay_alloc_mb", Num r.s_replay_alloc_mb);
+      ("window_segments", int r.s_window_segments);
+    ]
 
 (** The sustained-load experiment (`bench sustained`, and the heart of
     `make log-check`): serve tens of thousands of requests through each
@@ -527,17 +503,13 @@ let sustained ?(benches = Bench_progs.Registry.all) ?(min_requests = 20_000)
          else ""))
     rows;
   Harness.emit_json
-    (Fmt.str
-       {|{"schema": "chimera-sustained-log/2", "workers": 4, "cores": 4,
- "min_requests": %d, "min_residency_ratio": %.1f,
- "benches": [
-%s
- ],
- "total_wall_s": %.3f}
-|}
-       min_requests min_ratio
-       (String.concat ",\n" (List.map sus_row_json rows))
-       total);
+    (Obj
+       [
+         ("schema", Str "chimera-sustained-log/2"); ("workers", Bjson.int 4);
+         ("cores", Bjson.int 4); ("min_requests", Bjson.int min_requests);
+         ("min_residency_ratio", Num min_ratio);
+         ("benches", List (List.map sus_row_json rows)); ("total_wall_s", Num total);
+       ]);
   if !failed then begin
     Fmt.epr "FAIL: sustained-load segmented recording gate@.";
     exit 1

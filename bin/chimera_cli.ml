@@ -413,8 +413,8 @@ let record_cmd =
         Chimera.Runner.record ~config:(config_of ~strategy s cores) ?sink ~io
           prog
       in
-      write_file (prefix ^ ".input.log") (Replay.Log.encode_input_log r.rc_log);
-      write_file (prefix ^ ".order.log") (Replay.Log.encode_order_log r.rc_log);
+      write_file (prefix ^ ".input.log") r.rc_input;
+      write_file (prefix ^ ".order.log") r.rc_order;
       Fmt.epr "[logs: input %dB (%dB gz), order %dB (%dB gz) -> %s.*.log]@."
         r.rc_input_log_raw r.rc_input_log_z r.rc_order_log_raw
         r.rc_order_log_z prefix;
@@ -451,7 +451,7 @@ let record_cmd =
           List.map
             (fun s ->
               let r = record_one ~prefix:(Fmt.str "%s.%d" out s) s in
-              Chimera.Stress.log_digest r.rc_log)
+              Chimera.Stress.log_digest ~input:r.rc_input ~order:r.rc_order)
             (seeds_list range)
         in
         Fmt.pr "recorded %d seeds, %d distinct logs@." (List.length digests)
@@ -503,8 +503,7 @@ let corrupt_log_exit = 3
 
 let replay_cmd =
   let run file seed cores io_seed strategy seeds profile_runs opts no_lockopt
-      jobs no_cache cache_dir logs trace_out refine segment_dir from_tick
-      window =
+      jobs no_cache cache_dir logs trace_out refine segment_dir window =
     let an =
       analyze_file ~opts ~profile_runs ~no_lockopt ~jobs ~no_cache ~cache_dir
         file
@@ -537,12 +536,11 @@ let replay_cmd =
     match segment_dir with
     | Some dir ->
         (* streamed (and possibly windowed) replay of a segment directory *)
-        let upto_tick = Option.map (fun w -> from_tick + w) window in
         let stream_one ?sink s =
           try
             Chimera.Runner.replay_streamed
               ~config:(config_of ~strategy s cores)
-              ?sink ~io ?upto_tick ~dir prog
+              ?sink ~io ?upto_tick:window ~dir prog
           with Replay.Log.Corrupt msg ->
             Fmt.epr "chimera: corrupt replay log: %s@." msg;
             exit corrupt_log_exit
@@ -550,8 +548,7 @@ let replay_cmd =
         let report (sr : Chimera.Runner.streamed_replay) =
           Fmt.epr "[stream: %d segment(s) loaded%s]@." sr.st_segments_loaded
             (if sr.st_halted then
-               Fmt.str ", halted at window bound [%d,+%d] (digest %s)"
-                 from_tick
+               Fmt.str ", halted at window bound %d (digest %s)"
                  (Option.value window ~default:0)
                  (match List.rev sr.st_digests with
                  | (_, d) :: _ -> d
@@ -609,21 +606,15 @@ let replay_cmd =
   let logs_arg =
     Arg.(value & opt string "chimera" & info [ "logs" ] ~doc:"Log file prefix")
   in
-  let from_tick_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "from-tick" ]
-          ~doc:"With --segment-dir and --window: start of the replay window")
-  in
   let window_arg =
     Arg.(
       value & opt (some int) None
-      & info [ "window" ]
+      & info [ "window" ] ~docv:"W"
           ~doc:
-            "With --segment-dir: replay only the window of $(b,--from-tick) \
-             to $(b,--from-tick)+$(i,W) ticks — streaming halts cleanly \
-             after the last segment covering the window drains, never \
-             reading the later segment files")
+            "With --segment-dir: replay through tick $(i,W) only — \
+             streaming starts at tick 0 and halts cleanly after the last \
+             segment covering tick $(i,W) drains, never reading the later \
+             segment files")
   in
   Cmd.v
     (Cmd.info "replay" ~doc:"Replay a recorded execution"
@@ -640,7 +631,7 @@ let replay_cmd =
           ~doc:
             "Stream the replay out of this segment directory (written by \
              $(b,record --segment-dir)) instead of monolithic log files"
-      $ from_tick_arg $ window_arg)
+      $ window_arg)
 
 let trace_cmd =
   let run file seed cores io_seed profile_runs opts no_lockopt jobs no_cache
@@ -813,35 +804,23 @@ let bench_cmd =
 let stress_issue_exit = 2
 
 let stress_json (rp : Chimera.Stress.report)
-    (fault : Chimera.Stress.fault_report option) : string =
-  let b = Buffer.create 1024 in
-  let strings xs =
-    String.concat ", "
-      (List.map (fun s -> Fmt.str "\"%s\"" (Bjson.escape s)) xs)
+    (fault : Chimera.Stress.fault_report option) : Bjson.t =
+  let strings xs = Bjson.List (List.map (fun s -> Bjson.Str s) xs) in
+  let int = Bjson.int in
+  let fault_json (f : Chimera.Stress.fault_report) =
+    Bjson.Obj
+      [ ("mutants", int (Chimera.Stress.fault_total f));
+        ("truncations", int f.fi_truncations); ("flips", int f.fi_flips);
+        ("appends", int f.fi_appends); ("rejected", int f.fi_rejected);
+        ("benign", int f.fi_benign); ("divergent", int f.fi_divergent);
+        ("crashes", strings (List.map (fun (w, e) -> w ^ ": " ^ e) f.fi_crashes)) ]
   in
-  Buffer.add_string b
-    (Fmt.str
-       "{\n  \"jobs\": %d,\n  \"distinct\": %d,\n  \"replayed\": %d,\n  \
-        \"issues\": [%s]"
-       rp.rp_jobs rp.rp_distinct rp.rp_replayed
-       (strings
-          (List.map (Fmt.str "%a" Chimera.Stress.pp_issue) rp.rp_issues)));
-  (match fault with
-  | None -> ()
-  | Some f ->
-      Buffer.add_string b
-        (Fmt.str
-           ",\n  \"fault\": {\n    \"mutants\": %d,\n    \"truncations\": \
-            %d,\n    \"flips\": %d,\n    \"appends\": %d,\n    \
-            \"rejected\": %d,\n    \"benign\": %d,\n    \"divergent\": \
-            %d,\n    \"crashes\": [%s]\n  }"
-           (Chimera.Stress.fault_total f)
-           f.fi_truncations f.fi_flips f.fi_appends f.fi_rejected f.fi_benign
-           f.fi_divergent
-           (strings
-              (List.map (fun (w, e) -> w ^ ": " ^ e) f.fi_crashes))));
-  Buffer.add_string b "\n}\n";
-  Buffer.contents b
+  Obj
+    ([ ("jobs", int rp.rp_jobs); ("distinct", int rp.rp_distinct);
+       ("replayed", int rp.rp_replayed);
+       ( "issues",
+         strings (List.map (Fmt.str "%a" Chimera.Stress.pp_issue) rp.rp_issues) ) ]
+    @ Option.to_list (Option.map (fun f -> ("fault", fault_json f)) fault))
 
 let stress_cmd =
   let run benches srcs raw seeds strategies cores io_seed jobs no_cache
@@ -982,12 +961,7 @@ let stress_cmd =
         (match json_out with
         | None -> ()
         | Some path ->
-            let doc = stress_json rp fault in
-            (match Bjson.parse doc with
-            | exception Bjson.Bad m ->
-                Fmt.failwith "stress emitted invalid JSON: %s" m
-            | _ -> ());
-            write_file path doc;
+            write_file path (Bjson.to_string (stress_json rp fault) ^ "\n");
             Fmt.epr "[stress report -> %s]@." path);
         let crashes =
           match fault with Some f -> f.fi_crashes <> [] | None -> false

@@ -1,9 +1,11 @@
-(** The one JSON codec of the tree (no JSON dep in-tree): a strict
-    reader — objects, arrays, strings with every standard escape
-    ([\uXXXX] decoded to UTF-8, surrogate pairs joined), numbers,
-    booleans, null, and nothing after the value — the string escaper
-    every writer shares, a writer for whole values, and the few
-    accessors the gates and the refine corpus need. Bytes outside ASCII pass through strings untouched. *)
+(** The one JSON codec of the tree (no JSON dep in-tree). Every JSON
+    document the tree writes is a {!t} spelled compact by {!to_string},
+    never formatted by hand. The reader is strict — objects, arrays,
+    strings with every standard escape ([\uXXXX] decoded to UTF-8,
+    surrogate pairs joined), numbers, booleans, null, nothing after the
+    value — but takes any whitespace layout, so indented documents of
+    older versions still load. Bytes outside ASCII pass through strings
+    untouched. *)
 
 type t =
   | Null
@@ -79,6 +81,9 @@ let to_string (v : t) : string =
   in
   go v;
   Buffer.contents b
+
+(** [Num] of an integer. *)
+let int n = Num (float_of_int n)
 
 let parse (s : string) : t =
   let n = String.length s in

@@ -11,6 +11,8 @@ open Interp
 type recorded = {
   rc_outcome : Engine.outcome;
   rc_log : Replay.Log.t;
+  rc_input : string;  (** [Replay.Log.encode_input_log rc_log] *)
+  rc_order : string;  (** [Replay.Log.encode_order_log rc_log] *)
   rc_input_log_raw : int;     (** bytes before compression *)
   rc_order_log_raw : int;
   rc_input_log_z : int;       (** compressed bytes *)
@@ -35,15 +37,17 @@ let record ?(config = Engine.default_config) ?hooks ?sink ?phases ~io prog :
     | None -> invalid_arg "record: engine returned no recorder"
   in
   let log = rc.Replay.Recorder.log in
-  let input_raw = Replay.Log.encode_input_log log in
-  let order_raw = Replay.Log.encode_order_log log in
+  let rc_input = Replay.Log.encode_input_log log in
+  let rc_order = Replay.Log.encode_order_log log in
   {
     rc_outcome = outcome;
     rc_log = log;
-    rc_input_log_raw = String.length input_raw;
-    rc_order_log_raw = String.length order_raw;
-    rc_input_log_z = Zcompress.compressed_size input_raw;
-    rc_order_log_z = Zcompress.compressed_size order_raw;
+    rc_input;
+    rc_order;
+    rc_input_log_raw = String.length rc_input;
+    rc_order_log_raw = String.length rc_order;
+    rc_input_log_z = Zcompress.compressed_size rc_input;
+    rc_order_log_z = Zcompress.compressed_size rc_order;
   }
 
 let replay ?(config = Engine.default_config) ?hooks ?sink ~io prog

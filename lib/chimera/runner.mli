@@ -8,6 +8,8 @@ open Interp
 type recorded = {
   rc_outcome : Engine.outcome;
   rc_log : Replay.Log.t;
+  rc_input : string;  (** [Replay.Log.encode_input_log rc_log], encoded once *)
+  rc_order : string;  (** [Replay.Log.encode_order_log rc_log], likewise *)
   rc_input_log_raw : int;
   rc_order_log_raw : int;
   rc_input_log_z : int;   (** compressed bytes *)

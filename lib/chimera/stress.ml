@@ -80,9 +80,8 @@ type report = {
     digested separately and hex-concatenated, so two logs whose
     concatenations collide at a section boundary still get distinct
     addresses. *)
-let log_digest (log : Replay.Log.t) : string =
-  Digest.to_hex (Digest.string (Replay.Log.encode_input_log log))
-  ^ Digest.to_hex (Digest.string (Replay.Log.encode_order_log log))
+let log_digest ~input ~order : string =
+  Digest.to_hex (Digest.string input) ^ Digest.to_hex (Digest.string order)
 
 (** The matrix cell pinned by [sp_golden_ticks]: default strategy at
     seed 1, matching the golden-counters generator. *)
@@ -143,7 +142,7 @@ let run_matrix ?(pool : Par.Pool.t option) ?(cores = 4)
         in
         {
           jr_job = j;
-          jr_digest = log_digest r.rc_log;
+          jr_digest = log_digest ~input:r.rc_input ~order:r.rc_order;
           jr_ticks = r.rc_outcome.Engine.o_ticks;
           jr_recorded = r;
         })

@@ -57,9 +57,9 @@ type report = {
   rp_issues : issue list;  (** empty iff the matrix is clean *)
 }
 
-val log_digest : Replay.Log.t -> string
-(** Content address of a recording: MD5 of the input encoding and of the
-    order encoding, hex-concatenated. *)
+val log_digest : input:string -> order:string -> string
+(** Content address of a recording from its encoded input and order logs
+    ([rc_input]/[rc_order], or the log files): their MD5s, hex-concatenated. *)
 
 val golden_seed : int
 (** The seed of the matrix cell [sp_golden_ticks] pins (1, matching the

@@ -70,47 +70,27 @@ module Corpus = struct
   let manifest = "corpus.json"
   let schema = "chimera-corpus/1"
 
-  let to_json (t : t) : string =
-    let b = Buffer.create 1024 in
-    Buffer.add_string b (Fmt.str "{\n  \"schema\": \"%s\",\n  \"programs\": [" schema);
-    List.iteri
-      (fun i e ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b
-          (Fmt.str
-             "\n    {\n      \"name\": \"%s\",\n      \"kind\": \"%s\",\n      \
-              \"source\": %s,\n      \"io_seed\": %d,\n      \"cores\": %d,\n      \
-              \"plan_digest\": \"%s\",\n      \"recordings\": ["
-             (Bjson.escape e.ce_name)
-             (match e.ce_kind with Kbench -> "bench" | Ksrc -> "src")
-             (match e.ce_source with
-             | None -> "null"
-             | Some s -> Fmt.str "\"%s\"" (Bjson.escape s))
-             e.ce_io_seed e.ce_cores e.ce_plan_digest);
-        List.iteri
-          (fun j r ->
-            if j > 0 then Buffer.add_char b ',';
-            Buffer.add_string b
-              (Fmt.str
-                 "\n        {\"seed\": %d, \"strategy\": \"%s\", \"digest\": \
-                  \"%s\", \"ticks\": %d, \"input\": \"%s\", \"order\": \"%s\"}"
-                 r.cr_seed
-                 (Engine.strategy_name r.cr_strategy)
-                 r.cr_digest r.cr_ticks (Bjson.escape r.cr_input)
-                 (Bjson.escape r.cr_order)))
-          e.ce_recordings;
-        Buffer.add_string b "\n      ]\n    }")
-      t.co_entries;
-    Buffer.add_string b "\n  ]\n}\n";
-    Buffer.contents b
-
   let save (t : t) =
-    let doc = to_json t in
-    (match Bjson.parse doc with
-    | exception Bjson.Bad m ->
-        Fmt.failwith "corpus manifest emitted invalid JSON: %s" m
-    | _ -> ());
-    write_file (Filename.concat t.co_dir manifest) doc
+    let recording r =
+      Bjson.Obj
+        [ ("seed", Bjson.int r.cr_seed);
+          ("strategy", Str (Engine.strategy_name r.cr_strategy));
+          ("digest", Str r.cr_digest); ("ticks", Bjson.int r.cr_ticks);
+          ("input", Str r.cr_input); ("order", Str r.cr_order) ]
+    in
+    let entry e =
+      Bjson.Obj
+        [ ("name", Str e.ce_name);
+          ("kind", Str (match e.ce_kind with Kbench -> "bench" | Ksrc -> "src"));
+          ( "source",
+            Option.fold ~none:Bjson.Null ~some:(fun s -> Bjson.Str s) e.ce_source );
+          ("io_seed", Bjson.int e.ce_io_seed); ("cores", Bjson.int e.ce_cores);
+          ("plan_digest", Str e.ce_plan_digest);
+          ("recordings", List (List.map recording e.ce_recordings)) ]
+    in
+    let programs = Bjson.List (List.map entry t.co_entries) in
+    write_file (Filename.concat t.co_dir manifest)
+      (Bjson.to_string (Obj [ ("schema", Str schema); ("programs", programs) ]) ^ "\n")
 
   let load ~dir : t =
     let path = Filename.concat dir manifest in
@@ -194,8 +174,7 @@ module Corpus = struct
       | exception Replay.Log.Corrupt m ->
           raise (Bad (Fmt.str "corrupt corpus log %s/%s: %s" e.ce_name r.cr_input m))
     in
-    let d = Chimera.Stress.log_digest log in
-    if d <> r.cr_digest then
+    if Chimera.Stress.log_digest ~input ~order <> r.cr_digest then
       raise
         (Bad
            (Fmt.str "corpus log %s/%s drifted from its content address" e.ce_name
@@ -240,11 +219,9 @@ module Corpus = struct
                   in
                   let input = base ^ ".input.log"
                   and order = base ^ ".order.log" in
-                  let log = jr.jr_recorded.Chimera.Runner.rc_log in
-                  write_file (Filename.concat dir input)
-                    (Replay.Log.encode_input_log log);
-                  write_file (Filename.concat dir order)
-                    (Replay.Log.encode_order_log log);
+                  let r = jr.jr_recorded in
+                  write_file (Filename.concat dir input) r.Chimera.Runner.rc_input;
+                  write_file (Filename.concat dir order) r.rc_order;
                   Some
                     {
                       cr_seed = j.jb_seed;
@@ -371,19 +348,18 @@ let corpus_observations ?pool ?replay_seed_delta ~cores ~io ~instrumented
         let config =
           { Engine.default_config with seed; cores; strategy }
         in
-        let r = Chimera.Runner.record ~config ~io instrumented in
-        ((seed, strategy), r.Chimera.Runner.rc_log))
+        ((seed, strategy), Chimera.Runner.record ~config ~io instrumented))
       jobs
   in
   let seen : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   let distinct =
-    List.filter
-      (fun (_, log) ->
-        let d = Chimera.Stress.log_digest log in
-        if Hashtbl.mem seen d then false
+    List.filter_map
+      (fun (key, (r : Chimera.Runner.recorded)) ->
+        let d = Chimera.Stress.log_digest ~input:r.rc_input ~order:r.rc_order in
+        if Hashtbl.mem seen d then None
         else begin
           Hashtbl.replace seen d ();
-          true
+          Some (key, r.rc_log)
         end)
       recorded
   in
@@ -654,33 +630,20 @@ let deployment_of ~program ~(base : Plan.t) (t : t) : deployment =
   }
 
 let deployment_json (d : deployment) : string =
-  let b = Buffer.create 512 in
-  Buffer.add_string b
-    (Fmt.str
-       "{\n  \"schema\": \"%s\",\n  \"program\": \"%s\",\n  \"plan_digest\": \
-        \"%s\",\n  \"min_coverage\": %d,\n  \"dropped\": ["
-       deployment_schema (Bjson.escape d.dp_program) d.dp_plan_digest
-       d.dp_min_coverage);
-  List.iteri
-    (fun i (l : Minic.Ast.weak_lock) ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b
-        (Fmt.str "{\"gran\": \"%s\", \"id\": %d}" (gran_name l.wl_gran) l.wl_id))
-    d.dp_dropped;
-  Buffer.add_string b "],\n  \"pairs\": [";
-  List.iteri
-    (fun i (s1, s2, prov) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Fmt.str "\n    {\"sid1\": %d, \"sid2\": %d, \"prov\": \"%s\"}" s1 s2 prov))
-    d.dp_pairs;
-  Buffer.add_string b "\n  ]\n}\n";
-  let doc = Buffer.contents b in
-  (match Bjson.parse doc with
-  | exception Bjson.Bad m ->
-      Fmt.failwith "deployment emitted invalid JSON: %s" m
-  | _ -> ());
-  doc
+  let lock (l : Minic.Ast.weak_lock) =
+    Bjson.Obj [ ("gran", Str (gran_name l.wl_gran)); ("id", Bjson.int l.wl_id) ]
+  in
+  let pair (s1, s2, prov) =
+    Bjson.Obj [ ("sid1", Bjson.int s1); ("sid2", Bjson.int s2); ("prov", Str prov) ]
+  in
+  Bjson.to_string
+    (Obj
+       [ ("schema", Str deployment_schema); ("program", Str d.dp_program);
+         ("plan_digest", Str d.dp_plan_digest);
+         ("min_coverage", Bjson.int d.dp_min_coverage);
+         ("dropped", List (List.map lock d.dp_dropped));
+         ("pairs", List (List.map pair d.dp_pairs)) ])
+  ^ "\n"
 
 let deployment_of_json (s : string) : deployment =
   let doc =

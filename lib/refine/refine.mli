@@ -57,7 +57,7 @@ module Corpus : sig
 
   val save : t -> unit
   (** Write [co_dir ^ "/" ^ manifest] (the log files are written by
-      {!of_stress}). The emitted JSON is self-checked with {!Bjson}. *)
+      {!of_stress}), one compact {!Bjson} document. *)
 
   val load : dir:string -> t
   (** @raise Bad on a missing or malformed manifest. *)
@@ -231,7 +231,8 @@ type deployment = {
 val deployment_of : program:string -> base:Instrument.Plan.t -> t -> deployment
 
 val deployment_json : deployment -> string
-(** Schema [chimera-refined-plan/1]; self-checked with {!Bjson}. *)
+(** Schema [chimera-refined-plan/1]: one compact {!Bjson} document and a
+    trailing newline. *)
 
 val deployment_of_json : string -> deployment
 (** @raise Bad_plan on malformed input. *)

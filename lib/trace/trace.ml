@@ -280,42 +280,21 @@ let pp_report ?(top = 10) ppf su =
 (* ------------------------------------------------------------------ *)
 (* Chrome-trace export *)
 
+let thread_name_event ~tid name =
+  Bjson.Obj
+    [ ("name", Str "thread_name"); ("ph", Str "M"); ("pid", Bjson.int 0);
+      ("tid", Bjson.int tid); ("args", Obj [ ("name", Str name) ]) ]
+
 let to_chrome events =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "[";
-  let first = ref true in
-  let obj fields =
-    if not !first then Buffer.add_string b ",\n";
-    first := false;
-    Buffer.add_string b "{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b (Fmt.str "\"%s\":%s" k v))
-      fields;
-    Buffer.add_string b "}"
-  in
-  let str s = Fmt.str "\"%s\"" (Bjson.escape s) in
   (* assign each thread a numeric chrome tid by tid_path order *)
   let tps =
     List.sort_uniq compare (List.map (fun e -> e.ev_tp) events)
   in
-  List.iteri
-    (fun i tp ->
-      obj
-        [ ("name", str "thread_name"); ("ph", str "M"); ("pid", "0");
-          ("tid", string_of_int i);
-          ("args",
-           Fmt.str "{\"name\":%s}" (str (Fmt.str "%a" Key.pp_tid_path tp)))
-        ])
-    tps;
   (* index once: every event pays a lookup, and big traces have many
      events per thread *)
   let tid_index = Hashtbl.create 16 in
   List.iteri (fun i tp -> Hashtbl.replace tid_index tp i) tps;
-  let tid_of tp =
-    match Hashtbl.find_opt tid_index tp with Some i -> i | None -> 0
-  in
+  let tid_of = Hashtbl.find tid_index in
   let cat = function
     | Weak_acquire _ | Weak_block _ | Weak_wake _ | Weak_release _
     | Weak_forced _ ->
@@ -324,22 +303,25 @@ let to_chrome events =
     | Sync _ -> "sync"
     | Syscall | Replay_miss -> "syscall"
   in
-  List.iter
-    (fun e ->
-      let tid = string_of_int (tid_of e.ev_tp) in
-      let ts = string_of_int e.ev_step in
-      let base name ph =
-        [ ("name", str name); ("cat", str (cat e.ev_kind)); ("ph", str ph);
-          ("pid", "0"); ("tid", tid); ("ts", ts) ]
-      in
-      match e.ev_kind with
-      | Region_enter n ->
-          obj (base (Fmt.str "region (%d locks)" n) "B")
-      | Region_exit _ -> obj (base "region" "E")
-      | k -> obj (base (Fmt.str "%a" pp_kind k) "i" @ [ ("s", str "t") ]))
-    events;
-  Buffer.add_string b "]\n";
-  Buffer.contents b
+  let event e =
+    let base name ph =
+      [ ("name", Bjson.Str name); ("cat", Str (cat e.ev_kind)); ("ph", Str ph);
+        ("pid", Bjson.int 0); ("tid", Bjson.int (tid_of e.ev_tp));
+        ("ts", Bjson.int e.ev_step) ]
+    in
+    Bjson.Obj
+      (match e.ev_kind with
+      | Region_enter n -> base (Fmt.str "region (%d locks)" n) "B"
+      | Region_exit _ -> base "region" "E"
+      | k -> base (Fmt.str "%a" pp_kind k) "i" @ [ ("s", Str "t") ])
+  in
+  Bjson.to_string
+    (List
+       (List.mapi
+          (fun i tp -> thread_name_event ~tid:i (Fmt.str "%a" Key.pp_tid_path tp))
+          tps
+       @ List.map event events))
+  ^ "\n"
 
 (* ------------------------------------------------------------------ *)
 (* Replay-divergence diagnosis *)

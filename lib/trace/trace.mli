@@ -121,6 +121,9 @@ val pp_report : ?top:int -> summary Fmt.t
 (* ------------------------------------------------------------------ *)
 (** {1 Chrome-trace export} *)
 
+val thread_name_event : tid:int -> string -> Bjson.t
+(** The Chrome-trace metadata event that names trace row [tid]. *)
+
 val to_chrome : event list -> string
 (** A [chrome://tracing] / Perfetto JSON array. Each simulated thread is
     a trace row ([tid] = its rank, named by a [thread_name] metadata

@@ -52,7 +52,6 @@ let check what ok =
   !current.checks <- (what, ok) :: !current.checks
 
 let metric name v = !current.metrics <- (name, v) :: !current.metrics
-let num n = Bjson.Num (float_of_int n)
 
 let cli =
   Option.value (Sys.getenv_opt "CHIMERA_CLI")
@@ -152,16 +151,16 @@ let log_library () =
          | None -> s.sg_index mod 4 <> 0)
        mf.mf_segments);
   metric "bench" (Bjson.Str "knot");
-  metric "requests" (num requests);
-  metric "segments" (num st.ws_segments);
-  metric "checkpoints" (num (List.length pinned));
-  metric "peak_raw_bytes" (num st.ws_peak_raw);
-  metric "total_raw_bytes" (num st.ws_total_raw);
-  metric "total_z_bytes" (num st.ws_total_z);
+  metric "requests" (Bjson.int requests);
+  metric "segments" (Bjson.int st.ws_segments);
+  metric "checkpoints" (Bjson.int (List.length pinned));
+  metric "peak_raw_bytes" (Bjson.int st.ws_peak_raw);
+  metric "total_raw_bytes" (Bjson.int st.ws_total_raw);
+  metric "total_z_bytes" (Bjson.int st.ws_total_z);
   metric "residency_ratio"
     (Bjson.Num
        (float_of_int st.ws_total_raw /. float_of_int (max 1 st.ws_peak_raw)));
-  metric "window_segments" (num win.st_segments_loaded)
+  metric "window_segments" (Bjson.int win.st_segments_loaded)
 
 let log_cli () =
   with_temp_dir @@ fun tmp ->
@@ -202,7 +201,7 @@ let log_cli () =
   let rep_code, rep_out = run "replay" "" in
   check "cli: streamed replay exits 0" (rep_code = 0);
   check "cli: streamed replay stdout == record stdout" (rep_out = rec_out);
-  let win_code, win_out = run "replay" " --from-tick 0 --window 100000" in
+  let win_code, win_out = run "replay" " --window 100000" in
   check "cli: windowed replay exits 0" (win_code = 0);
   check "cli: windowed replay is a prefix of the full outputs"
     (List.length win_out < List.length rep_out
@@ -270,20 +269,20 @@ let refine_bench name =
   metric name
     (Bjson.Obj
        [
-         ("static_acqs", num rf.rf_base_acqs);
-         ("refined_acqs", num rf.rf_refined_acqs);
-         ("locks_dropped", num (List.length rf.rf_dropped));
-         ("violations", num (List.length va.va_violations));
-         ("rt_acq_lockopt", num rt_lockopt);
-         ("rt_acq_refined", num rt_refined);
+         ("static_acqs", Bjson.int rf.rf_base_acqs);
+         ("refined_acqs", Bjson.int rf.rf_refined_acqs);
+         ("locks_dropped", Bjson.int (List.length rf.rf_dropped));
+         ("violations", Bjson.int (List.length va.va_violations));
+         ("rt_acq_lockopt", Bjson.int rt_lockopt);
+         ("rt_acq_refined", Bjson.int rt_refined);
          ("replay_lockopt", Bjson.Bool det_lockopt);
          ("replay_refined", Bjson.Bool det_refined);
        ]);
   rt_refined < rt_lockopt
 
 let refine_library () =
-  metric "min_coverage" (num 2);
-  metric "seeds" (Bjson.List (List.map num seeds));
+  metric "min_coverage" (Bjson.int 2);
+  metric "seeds" (Bjson.List (List.map Bjson.int seeds));
   let strict = List.filter refine_bench trio in
   check "strict runtime-acquisition drop on >= 2 applications"
     (List.length strict >= 2)
@@ -315,14 +314,19 @@ let refine_cli () =
         (Sys.file_exists (Filename.concat plans (b ^ ".refined.json"))))
     trio;
   (* stale evidence: corrupt every plan digest in the manifest *)
-  let doc = In_channel.with_open_bin manifest In_channel.input_all in
-  let corrupted =
-    Str.global_replace
-      (Str.regexp {|"plan_digest": "[0-9a-f]+"|})
-      {|"plan_digest": "deadbeefdeadbeefdeadbeefdeadbeef"|} doc
+  let doc = Bjson.load_file manifest in
+  let rec corrupt = function
+    | Bjson.Obj kvs -> Bjson.Obj (List.map (fun (k, v) -> (k, field k v)) kvs)
+    | Bjson.List l -> Bjson.List (List.map corrupt l)
+    | v -> v
+  and field k v =
+    if k <> "plan_digest" then corrupt v
+    else Bjson.Str "deadbeefdeadbeefdeadbeefdeadbeef"
   in
+  let corrupted = corrupt doc in
   check "cli: manifest corruption changed the digest" (corrupted <> doc);
-  Out_channel.with_open_bin manifest (fun oc -> output_string oc corrupted);
+  Out_channel.with_open_bin manifest (fun oc ->
+      output_string oc (Bjson.to_string corrupted));
   check "cli: stale corpus evidence is a typed issue (exit 2)" (refine "" = 2)
 
 (* ------------------------------------------------------------------ *)

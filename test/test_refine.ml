@@ -327,6 +327,61 @@ let test_corpus_roundtrip () =
   let rf = Refine.refine ~plan:an.an_plan obs in
   check_prov "same provenance from disk" "kept" (prov_of rf ~obj:"b")
 
+(* 9b. the writers emit compact JSON; a manifest and a deployment plan
+   in the indented layout older versions wrote must still load *)
+let test_indented_layout_loads () =
+  Testutil.with_temp_dir "chimera-corpus" @@ fun dir ->
+  Sys.mkdir dir 0o755;
+  Out_channel.with_open_bin (Filename.concat dir Refine.Corpus.manifest)
+    (fun oc ->
+      output_string oc
+        {|{
+  "schema": "chimera-corpus/1",
+  "programs": [
+    {
+      "name": "prog.mc",
+      "kind": "src",
+      "source": "dir/prog.mc",
+      "io_seed": 7,
+      "cores": 2,
+      "plan_digest": "c203fadf82d09b79befe410ef9238d78",
+      "recordings": [
+        {"seed": 3, "strategy": "storm", "digest": "862dc72f", "ticks": 27108, "input": "p.input.log", "order": "p.order.log"}
+      ]
+    }
+  ]
+}
+|});
+  Alcotest.(check bool) "indented corpus manifest loads" true
+    (Refine.Corpus.load ~dir
+    = { co_dir = dir;
+        co_entries =
+          [ { ce_name = "prog.mc"; ce_kind = Ksrc; ce_source = Some "dir/prog.mc";
+              ce_io_seed = 7; ce_cores = 2;
+              ce_plan_digest = "c203fadf82d09b79befe410ef9238d78";
+              ce_recordings =
+                [ { cr_seed = 3; cr_strategy = Interp.Engine.Sstorm;
+                    cr_digest = "862dc72f"; cr_ticks = 27108;
+                    cr_input = "p.input.log"; cr_order = "p.order.log" } ] } ] });
+  Alcotest.(check bool) "indented deployment plan loads" true
+    (Refine.deployment_of_json
+       {|{
+  "schema": "chimera-refined-plan/1",
+  "program": "fft",
+  "plan_digest": "c203fadf82d09b79befe410ef9238d78",
+  "min_coverage": 2,
+  "dropped": [{"gran": "loop", "id": 0}, {"gran": "bb", "id": 3}],
+  "pairs": [
+    {"sid1": 5, "sid2": 13, "prov": "dropped:never-racy"}
+  ]
+}
+|}
+    = { dp_program = "fft"; dp_plan_digest = "c203fadf82d09b79befe410ef9238d78";
+        dp_min_coverage = 2;
+        dp_dropped =
+          [ { Minic.Ast.wl_id = 0; wl_gran = Gloop }; { wl_id = 3; wl_gran = Gbb } ];
+        dp_pairs = [ (5, 13, "dropped:never-racy") ] })
+
 (* 10. the paper's soundness floor as a fuzz property: on arbitrary
    contended programs, a corpus-refined plan validated over its own
    cells never admits a dynamic race that RELAY does not cover *)
@@ -393,5 +448,7 @@ let suite =
     Alcotest.test_case "deployment roundtrip and rejection" `Slow
       test_deployment_roundtrip;
     Alcotest.test_case "on-disk corpus roundtrip" `Quick test_corpus_roundtrip;
+    Alcotest.test_case "indented corpus and plan still load" `Quick
+      test_indented_layout_loads;
     QCheck_alcotest.to_alcotest ~rand:(rand ()) prop_refined_sound;
   ]
