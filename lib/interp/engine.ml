@@ -151,11 +151,6 @@ type thread = {
           point inside the owner's deterministic instruction stream *)
 }
 
-(* a scheduling point of [th] costing [cost] ticks *)
-let step (th : thread) cost =
-  th.step_cost <- cost;
-  Effect.perform E_step
-
 let stable_tid (path : K.tid_path) : int =
   List.fold_left (fun acc k -> (acc * 1024) + k + 1) 0 path
 
@@ -226,6 +221,10 @@ type stats = {
           in [maintenance] *)
   mutable n_core_ticks : int;
       (** [tick_core] calls: per-core scheduling ticks actually run *)
+  mutable n_steps_inline : int;
+      (** steps taken in place ({!step}): each stands for the end of one
+          tick and the next tick up to the thread's resumption, and is
+          counted in [n_sched_iters] and [n_core_ticks] as those are *)
 }
 
 let new_stats () =
@@ -248,6 +247,7 @@ let new_stats () =
     n_ticks_jumped = 0;
     n_turn_checks = 0;
     n_core_ticks = 0;
+    n_steps_inline = 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -325,6 +325,14 @@ exception Stuck of string
    types) is resolved when its body is compiled. *)
 type frame = { fr_block : int } [@@unboxed]
 
+(* A function's frame layout: static per function, shared read-only by
+   all its frames *)
+type flayout = {
+  fl_offsets : (string, int * ty) Hashtbl.t;  (** variable -> offset, type *)
+  fl_size : int;  (** cells per frame *)
+  fl_params : int list;  (** the parameters' offsets, in order *)
+}
+
 (* A core's run queue. [len] is [List.length ts], a stale duplicate
    entry (DESIGN.md §15) included; every change goes through
    [set_queue]. *)
@@ -349,6 +357,7 @@ type t = {
   mutable n_multi : int;
       (** queues holding two or more entries: an empty core can steal
           only while this is positive *)
+  mutable n_busy : int;  (** non-empty queues *)
   quanta : int array;
   globals : (string, int) Hashtbl.t;  (** global name -> block id *)
   recorder : Replay.Recorder.t option;
@@ -369,13 +378,13 @@ type t = {
   mutable live : int;
   mutable exit_code : int option;
   mutable rng : int;
+  mutable tick_draw : int;
+      (** the current tick's start-core draw, before [mod cores] *)
   mutable main_done : bool;
   mutable pct_floor : int;
       (** strictly decreasing change-point floor: each demotion lands
           below every priority handed out so far *)
-  flayouts : (string, (string, int * ty) Hashtbl.t * int) Hashtbl.t;
-      (** per-function frame layout (offsets table, frame size): static
-          per function, shared read-only by all its frames *)
+  flayouts : (string, flayout) Hashtbl.t;  (** per-function frame layout *)
   cbodies : (string, thread -> frame -> unit) Hashtbl.t;
       (** per-function staged bodies: each body is closure-compiled on
           its first call, with variable offsets, field offsets, element
@@ -409,7 +418,7 @@ let emit_ev eng (th : thread) kind =
 (* One xorshift step of the scheduler rng, masked to 62 bits. The
    step is linear over GF(2) and never reaches 0 from a seeded state
    (DESIGN.md §22), so a run of steps is a matrix power. *)
-let rng_step x =
+let[@inline] rng_step x =
   let x = x lxor (x lsl 13) in
   let x = x lxor (x lsr 7) in
   let x = x lxor (x lsl 17) in
@@ -522,7 +531,7 @@ let weak_sweep_mask eng =
    feeds wake order (and through [enqueue] the golden tick counts) is
    skipped when its population is empty, and never reordered. The
    timeout victim and the earliest weak-lock deadline are plain table
-   scans ([sweep_victim], [next_wakes]). The earliest IO wake is kept
+   scans ([sweep_victim], [weak_deadline]). The earliest IO wake is kept
    exactly in [io_min]: lowered here at each [BIO] park, and recomputed
    by [maintenance]'s walk, the only place a [BIO] thread wakes. *)
 
@@ -685,6 +694,114 @@ let wait_turn eng r ~what (th : thread) (check : unit -> bool) =
 
 let det_mode eng = match eng.mode with Deterministic -> true | _ -> false
 
+(* ------------------------------------------------------------------ *)
+(* Gates of the periodic passes, and steps taken in place.
+
+   [maintenance] runs on every 16th tick and the weak-timeout sweep on
+   the ticks [weak_sweep_mask] selects. Each gate below proves its pass
+   a no-op before a given tick. The pass itself, the idle-span bound and
+   the in-place step all read the same gate, so a tick one of them
+   treats as quiet is quiet for the others (DESIGN.md §22-23). *)
+
+(* Every [BTurn] waiter without a pending reacquisition failed its check
+   at the current log version: the waiters' part of a maintenance pass
+   is a no-op until an event is consumed. A waiter parked after the pass
+   that stamped [turns_quiet_at] failed at a version between the stamp
+   and now, so an unmoved version covers it too. *)
+let turns_quiet eng =
+  match eng.replayer with
+  | Some r -> eng.turns_quiet_at = Replay.Replayer.consumed_events r
+  | None -> false
+
+(** The first tick at which a maintenance pass may act: [min_int] while a
+    parked turn waiter may pass its check, a thread waits to reacquire
+    or the replay log holds forced events; otherwise the earliest IO
+    wake, [max_int] for none. A pass at an earlier tick changes nothing:
+    it wakes no thread and recomputes [io_min] and [turns_quiet_at] to
+    the values they hold. *)
+let maintenance_from eng =
+  if
+    (eng.n_bturn > 0 && not (turns_quiet eng))
+    || eng.n_breacq > 0 || eng.n_reacq > 0
+    ||
+    match eng.replayer with
+    | Some r -> Replay.Replayer.has_forced r
+    | None -> false
+  then min_int
+  else eng.io_min
+
+(* the timeout sweep acts only when recording or running natively:
+   replay re-applies forced releases from the log, and deterministic
+   mode preempts by retry-count dooming, since a wall-tick timeout would
+   make the preemption point a function of the host schedule *)
+let sweeps eng = eng.replayer = None && not (det_mode eng)
+
+(** The earliest weak-lock timeout deadline over the [BWeak] and
+    [BReacq] waiters, [blocked_since + timeout + 1], the first tick at
+    which a sweep may expire the waiter; [max_int] for none. It walks
+    the table only while such a waiter exists. *)
+let weak_deadline eng =
+  let weak = ref max_int in
+  if eng.n_bweak > 0 || eng.n_breacq > 0 then
+    Hashtbl.iter
+      (fun _ (th : thread) ->
+        match th.status with
+        | Blocked (BWeak _ | BReacq) ->
+            let d = th.blocked_since + effective_weak_timeout eng + 1 in
+            if d < !weak then weak := d
+        | _ -> ())
+      eng.threads;
+  !weak
+
+(** The first tick at which the timeout sweep may find a victim,
+    [max_int] for never. *)
+let sweep_from eng = if sweeps eng then weak_deadline eng else max_int
+
+(* Take a cost-1 step of [th] in place when the per-tick path would
+   provably resume [th] at the next tick. The caller checked that one
+   queue holds one entry; that entry is [th], which was resumed from
+   its head and is running, so it is runnable and no thread ended the
+   run this tick (DESIGN.md §23). Here: no forced release is due, the
+   step expires no quantum, and the next tick neither ends the run nor
+   runs a maintenance pass or sweep that could act. The step then does
+   what the rest of this tick and the next tick up to [th]'s resumption
+   would: the tail of [tick_core], the next tick's start-core draw and
+   core tick, and the step's own count. Ticks, rng, logs and every
+   counter but [n_steps_inline] are those of the per-tick path. *)
+let step_in_place eng (th : thread) =
+  let c = th.core and t = eng.ticks + 1 in
+  th.force_now = []
+  && eng.quanta.(c) > 1
+  && (match eng.replayer with
+     | Some r ->
+         not (Replay.Replayer.has_forced r || Replay.Replayer.halted r)
+     | None -> true)
+  && (not (det_mode eng))
+  && t < eng.cfg.max_ticks
+  && (t land 15 <> 0 || t < maintenance_from eng)
+  && (t land weak_sweep_mask eng <> 0 || t < sweep_from eng)
+  &&
+  begin
+    eng.quanta.(c) <- eng.quanta.(c) - 1;
+    eng.ticks <- t;
+    eng.stats.n_sched_iters <- eng.stats.n_sched_iters + 1;
+    eng.tick_draw <- rng_next eng;
+    eng.stats.n_core_ticks <- eng.stats.n_core_ticks + 1;
+    th.steps <- th.steps + 1;
+    eng.stats.n_steps_inline <- eng.stats.n_steps_inline + 1;
+    true
+  end
+
+(* a scheduling point of [th] costing [cost] ticks: taken in place when
+   [step_in_place] allows, else the thread suspends to the scheduler *)
+let[@inline] step eng (th : thread) cost =
+  if
+    not (cost = 1 && eng.n_busy = 1 && eng.n_multi = 0 && step_in_place eng th)
+  then begin
+    th.step_cost <- cost;
+    Effect.perform E_step
+  end
+
 (* [th] holds the deterministic turn iff its (det_clock, tid) is the
    strict global minimum among non-excluded live threads. At most one
    thread holds the turn, so gated operations commit in a total order
@@ -736,7 +853,7 @@ let det_gate ?(reacquire = true) eng (th : thread) =
    clock, is a deterministic function of the contending clocks *)
 let det_retry_bump eng (th : thread) =
   th.det_clock <- th.det_clock + eng.cfg.cost.c_sync;
-  step th 1
+  step eng th 1
 
 (* deterministically park / unpark a thread around an intrinsic wait
    (cond/join/barrier/IO): parked threads leave the global-minimum rule *)
@@ -854,6 +971,7 @@ let fire_sync eng th ev =
 let set_queue eng (q : runq) ts len =
   eng.n_multi <-
     eng.n_multi + Bool.to_int (len >= 2) - Bool.to_int (q.len >= 2);
+  eng.n_busy <- eng.n_busy + Bool.to_int (len > 0) - Bool.to_int (q.len > 0);
   q.ts <- ts;
   q.len <- len
 
@@ -1176,7 +1294,7 @@ let release_batch eng th (ls : weak_lock list) =
   List.iter
     (fun _ ->
       eng.stats.weak_op_ticks <- eng.stats.weak_op_ticks + cost.c_weak_op;
-      step th cost.c_weak_op)
+      step eng th cost.c_weak_op)
     ls;
   if ls <> [] then begin
     det_gate ~reacquire:false eng th;
@@ -1231,7 +1349,7 @@ let weak_enter eng th fr (acqs : (weak_lock * crange list) array)
       eng.stats.weak_op_ticks <-
         eng.stats.weak_op_ticks + cost.c_weak_op
         + (List.length claim * cost.c_range);
-      step th c;
+      step eng th c;
       weak_acquire_one eng th l claim)
     resolved;
   emit_ev eng th (Trace.Region_enter (List.length resolved));
@@ -1247,7 +1365,7 @@ let resume_outer_region eng th =
         (fun (l, claim) ->
           let c = cost.c_weak_op + charge_log_weak eng in
           eng.stats.weak_op_ticks <- eng.stats.weak_op_ticks + cost.c_weak_op;
-          step th c;
+          step eng th c;
           weak_acquire_one eng th l claim)
         rg_acqs
   | [] -> ()
@@ -1395,7 +1513,7 @@ let sys_input eng th : Value.t =
     | None -> eng.io.io_input (next_io_req th ~max:0)
   in
   record_syscall eng th [ v ];
-  step th (eng.cfg.cost.c_syscall + charge_log_input eng 1);
+  step eng th (eng.cfg.cost.c_syscall + charge_log_input eng 1);
   VInt v
 
 (* [output(v)] *)
@@ -1408,7 +1526,7 @@ let sys_output eng th (v : int) : unit =
   | None -> ());
   record_syscall eng th [];
   eng.outputs <- (th.path, v) :: eng.outputs;
-  step th (eng.cfg.cost.c_syscall + charge_log_input eng 0)
+  step eng th (eng.cfg.cost.c_syscall + charge_log_input eng 0)
 
 (* [net_read(buf, max)] / [file_read(buf, max)] *)
 let sys_read eng th fr ~sid ~(net : bool) cbuf cmax : Value.t =
@@ -1438,7 +1556,7 @@ let sys_read eng th fr ~sid ~(net : bool) cbuf cmax : Value.t =
   in
   let bytes = Runtime.Listx.take maxn bytes in
   record_syscall eng th bytes;
-  step th (eng.cfg.cost.c_syscall + charge_log_input eng (List.length bytes));
+  step eng th (eng.cfg.cost.c_syscall + charge_log_input eng (List.length bytes));
   List.iteri
     (fun i b ->
       let off = buf.Value.p_off + i in
@@ -1450,8 +1568,7 @@ let sys_read eng th fr ~sid ~(net : bool) cbuf cmax : Value.t =
 (* ------------------------------------------------------------------ *)
 (* Function & statement execution *)
 
-let layout_of (eng : t) (fd : fundec) :
-    (string, int * ty) Hashtbl.t * int =
+let layout_of (eng : t) (fd : fundec) : flayout =
   match Hashtbl.find_opt eng.flayouts fd.f_name with
   | Some l -> l
   | None ->
@@ -1467,9 +1584,26 @@ let layout_of (eng : t) (fd : fundec) :
           in
           off := !off + max 1 size)
         (fd.f_params @ fd.f_locals);
-      let l = (offsets, !off) in
+      (* looked up in the finished table, so a local that shadows a
+         parameter receives its argument, as it always has *)
+      let params =
+        List.map
+          (fun (p : var_decl) -> fst (Hashtbl.find offsets p.v_name))
+          fd.f_params
+      in
+      let l = { fl_offsets = offsets; fl_size = !off; fl_params = params } in
       Hashtbl.replace eng.flayouts fd.f_name l;
       l
+
+(* store [args] in order at the parameter offsets [offs] of block [blk];
+   arguments beyond the parameters, or parameters beyond the arguments,
+   are left alone *)
+let rec bind_params eng blk offs (args : Value.t list) =
+  match (offs, args) with
+  | off :: offs, v :: args ->
+      Mem.store_at eng.mem blk off v;
+      bind_params eng blk offs args
+  | _ -> ()
 
 (* Static queries of the compiler (an expression's type, a field offset,
    an element size) fail only on an ill-typed program: one that skipped
@@ -1507,18 +1641,12 @@ let rec exec_fun eng th (fname : string) (args : Value.t list) : Value.t =
   in
   (match eng.hooks.on_enter_fun with Some f -> f th.tid fname | None -> ());
   th.call_stack <- fname :: th.call_stack;
-  let offsets, size = layout_of eng fd in
+  let lay = layout_of eng fd in
   let origin = K.OFrame (th.path, th.frame_seq) in
   th.frame_seq <- th.frame_seq + 1;
-  let blk = Mem.alloc eng.mem origin size in
+  let blk = Mem.alloc eng.mem origin lay.fl_size in
   let fr = { fr_block = blk.Mem.b_id } in
-  List.iteri
-    (fun i (p : var_decl) ->
-      match (List.nth_opt args i, Hashtbl.find_opt offsets p.v_name) with
-      | Some v, Some (off, _) ->
-          Mem.store_at eng.mem blk.Mem.b_id off v
-      | _ -> ())
-    fd.f_params;
+  bind_params eng blk.Mem.b_id lay.fl_params args;
   let region_depth = List.length th.regions in
   let ret =
     try
@@ -1572,7 +1700,7 @@ and compiled_body eng (fd : fundec) : thread -> frame -> unit =
   match Hashtbl.find_opt eng.cbodies fd.f_name with
   | Some cb -> cb
   | None ->
-      let offsets, _ = layout_of eng fd in
+      let offsets = (layout_of eng fd).fl_offsets in
       let env = Minic.Typecheck.fun_env eng.tenv fd in
       let cb = compile_block eng ~offsets ~env fd.f_body in
       Hashtbl.replace eng.cbodies fd.f_name cb;
@@ -1597,11 +1725,11 @@ and compile_stmt eng ~offsets ~env (s : stmt) : thread -> frame -> unit =
       fun th fr ->
         on_stmt th;
         eng.stats.n_stmts <- eng.stats.n_stmts + 1;
-        step th cost.c_stmt;
+        step eng th cost.c_stmt;
         let v = ce th fr in
         (* separate scheduling point between the read(s) and the write:
            this is what makes load-store races observable *)
-        step th 1;
+        step eng th 1;
         cstore th fr v
   | Call (ret, tgt, args) -> (
       let cfname =
@@ -1620,7 +1748,7 @@ and compile_stmt eng ~offsets ~env (s : stmt) : thread -> frame -> unit =
       fun th fr ->
         on_stmt th;
         eng.stats.n_stmts <- eng.stats.n_stmts + 1;
-        step th cost.c_stmt;
+        step eng th cost.c_stmt;
         let fname = cfname th fr in
         let argv = List.map (fun c -> c th fr) cargs in
         let v = exec_fun eng th fname argv in
@@ -1638,7 +1766,7 @@ and compile_stmt eng ~offsets ~env (s : stmt) : thread -> frame -> unit =
       fun th fr ->
         on_stmt th;
         eng.stats.n_stmts <- eng.stats.n_stmts + 1;
-        step th cost.c_stmt;
+        step eng th cost.c_stmt;
         if cc th fr then cb1 th fr else cb2 th fr
   | While (c, body, li) ->
       let cc = compile_cond eng ~offsets ~env ~sid c in
@@ -1652,7 +1780,7 @@ and compile_stmt eng ~offsets ~env (s : stmt) : thread -> frame -> unit =
         | None -> ());
         (try
            while
-             step th cost.c_stmt;
+             step eng th cost.c_stmt;
              cc th fr
            do
              (match eng.hooks.on_loop_iter with
@@ -1672,14 +1800,14 @@ and compile_stmt eng ~offsets ~env (s : stmt) : thread -> frame -> unit =
       fun th fr ->
         on_stmt th;
         eng.stats.n_stmts <- eng.stats.n_stmts + 1;
-        step th cost.c_stmt;
+        step eng th cost.c_stmt;
         let v = match ce with Some c -> c th fr | None -> Value.zero in
         raise_notrace (Return_value v)
   | Break | Continue ->
       let exn = if s.skind = Break then Brk else Cnt in
       fun th _fr ->
         on_stmt th;
-        step th 1;
+        step eng th 1;
         raise_notrace exn
   | WeakEnter acqs ->
       let cexp = compile_exp eng ~offsets ~env ~sid in
@@ -1722,7 +1850,7 @@ and compile_builtin eng ~offsets ~env ~sid ret (b : builtin) (args : exp list)
   match (b, List.map (compile_exp eng ~offsets ~env ~sid) args) with
   | Spawn, ctarget :: crest ->
       fun th fr ->
-        step th cost.l_spawn;
+        step eng th cost.l_spawn;
         let fname =
           match ctarget th fr with
           | Value.VFun f -> f
@@ -1743,7 +1871,7 @@ and compile_builtin eng ~offsets ~env ~sid ret (b : builtin) (args : exp list)
         store_ret th fr (VInt child.tid)
   | Join, [ c ] ->
       fun th fr ->
-        step th cost.c_sync;
+        step eng th cost.c_sync;
         let target = Value.to_int (c th fr) in
         let rec wait () =
           match Hashtbl.find_opt eng.threads target with
@@ -1760,15 +1888,15 @@ and compile_builtin eng ~offsets ~env ~sid ret (b : builtin) (args : exp list)
         fire_sync eng th (SyJoin target)
   | MutexLock, [ c ] ->
       fun th fr ->
-        step th (cost.c_sync + charge_log_sync eng);
+        step eng th (cost.c_sync + charge_log_sync eng);
         mutex_lock eng th (sync_key c th fr)
   | MutexUnlock, [ c ] ->
       fun th fr ->
-        step th (cost.c_sync + charge_log_sync eng);
+        step eng th (cost.c_sync + charge_log_sync eng);
         mutex_unlock eng th (sync_key c th fr)
   | BarrierInit, [ c; cn ] ->
       fun th fr ->
-        step th (cost.c_sync + charge_log_sync eng);
+        step eng th (cost.c_sync + charge_log_sync eng);
         let key = sync_key c th fr in
         gate_sync eng th key SBarrierInit;
         record_sync eng th key SBarrierInit;
@@ -1776,21 +1904,21 @@ and compile_builtin eng ~offsets ~env ~sid ret (b : builtin) (args : exp list)
           ~count:(Value.to_int (cn th fr))
   | BarrierWait, [ c ] ->
       fun th fr ->
-        step th (cost.c_sync + charge_log_sync eng);
+        step eng th (cost.c_sync + charge_log_sync eng);
         barrier_wait eng th (sync_key c th fr)
   | CondWait, [ cc; cm ] ->
       fun th fr ->
-        step th (cost.c_sync + charge_log_sync eng);
+        step eng th (cost.c_sync + charge_log_sync eng);
         (* the mutex key first: the pinned evaluation order *)
         let mkey = sync_key cm th fr in
         cond_wait eng th (sync_key cc th fr) mkey
   | CondSignal, [ c ] ->
       fun th fr ->
-        step th (cost.c_sync + charge_log_sync eng);
+        step eng th (cost.c_sync + charge_log_sync eng);
         cond_signal eng th (sync_key c th fr) ~broadcast:false
   | CondBroadcast, [ c ] ->
       fun th fr ->
-        step th (cost.c_sync + charge_log_sync eng);
+        step eng th (cost.c_sync + charge_log_sync eng);
         cond_signal eng th (sync_key c th fr) ~broadcast:true
   | Input, [] -> fun th fr -> store_ret th fr (sys_input eng th)
   | Output, [ c ] ->
@@ -1804,7 +1932,7 @@ and compile_builtin eng ~offsets ~env ~sid ret (b : builtin) (args : exp list)
         store_ret th fr (sys_read eng th fr ~sid ~net:false cbuf cmax)
   | Malloc, [ c ] ->
       fun th fr ->
-        step th cost.c_stmt;
+        step eng th cost.c_stmt;
         let size = Value.to_int (c th fr) in
         let origin = K.OHeap (th.path, th.alloc_seq) in
         th.alloc_seq <- th.alloc_seq + 1;
@@ -1812,14 +1940,14 @@ and compile_builtin eng ~offsets ~env ~sid ret (b : builtin) (args : exp list)
         store_ret th fr (VPtr { Value.p_block = blk.Mem.b_id; p_off = 0 })
   | Free, [ c ] ->
       fun th fr ->
-        step th cost.c_stmt;
+        step eng th cost.c_stmt;
         (match c th fr with
         | Value.VPtr p -> Mem.free eng.mem p.Value.p_block
         | _ -> ())
-  | Yield, [] -> fun th _ -> step th 1
+  | Yield, [] -> fun th _ -> step eng th 1
   | Exit, [ c ] ->
       fun th fr ->
-        step th cost.c_stmt;
+        step eng th cost.c_stmt;
         raise (Program_exit (Value.to_int (c th fr)))
   | _ -> fun _ _ -> Value.fault "builtin %s: bad arity" (builtin_name b)
 
@@ -2234,16 +2362,6 @@ let turn_ready eng (th : thread) check =
       && eval_turn eng r th check
   | None -> check ()
 
-(* Every [BTurn] waiter without a pending reacquisition failed its check
-   at the current log version: the waiters' part of a maintenance pass
-   is a no-op until an event is consumed. A waiter parked after the pass
-   that stamped [turns_quiet_at] failed at a version between the stamp
-   and now, so an unmoved version covers it too. *)
-let turns_quiet eng =
-  match eng.replayer with
-  | Some r -> eng.turns_quiet_at = Replay.Replayer.consumed_events r
-  | None -> false
-
 (* Periodic maintenance: IO wakeups, replay-turn checks, replayed forced
    releases for blocked owners, forced reacquisitions.
 
@@ -2254,7 +2372,7 @@ let turns_quiet eng =
    be proved a no-op (no IO wake due before [io_min], no parked turn
    waiter, no pending reacquisition, no forced event left in the log) —
    and never reorder them. *)
-let maintenance eng =
+let maintenance_pass eng =
   if eng.n_bturn > 0 || eng.n_breacq > 0 || eng.ticks >= eng.io_min then begin
     (* recomputed over the [BIO] threads the walk leaves parked; a wake
        parks no thread in [BIO] *)
@@ -2377,6 +2495,10 @@ let maintenance eng =
       end)
     eng.threads
 
+(* a pass before [maintenance_from] is a no-op, and is not run *)
+let maintenance eng =
+  if eng.ticks >= maintenance_from eng then maintenance_pass eng
+
 (* The longest-stalled expired [BWeak]/[BReacq] waiter, lowest tid on
    ties; [None] when no stall has outlived the timeout. *)
 let sweep_victim eng : thread option =
@@ -2398,10 +2520,7 @@ let sweep_victim eng : thread option =
    waiter (Section 2.3). During replay, timeouts never initiate
    preemption — forced releases are re-applied from the log instead. *)
 let check_weak_timeouts eng =
-  (* replay re-applies forced releases from the log; deterministic mode
-     preempts by retry-count dooming — a wall-tick timeout would make
-     the preemption point a function of the host schedule *)
-  if eng.replayer <> None || det_mode eng then ()
+  if not (sweeps eng) then ()
   else begin
     (* one victim per pass: the longest-stalled expired waiter (lowest
        tid on ties). Preempting on behalf of every expired waiter at
@@ -2600,24 +2719,6 @@ let tick_core eng c =
    are those of the per-tick path, which remains the only executor of
    ticks that do anything. *)
 
-(** Earliest IO completion tick ([io_min]) and earliest weak-lock
-    timeout deadline ([blocked_since + timeout + 1], the first tick at
-    which a sweep may expire the waiter) over the blocked threads;
-    [max_int] for none. Only the deadline walks the table, and only
-    while a [BWeak] or [BReacq] waiter exists. *)
-let next_wakes eng =
-  let weak = ref max_int in
-  if eng.n_bweak > 0 || eng.n_breacq > 0 then
-    Hashtbl.iter
-      (fun _ (th : thread) ->
-        match th.status with
-        | Blocked (BWeak _ | BReacq) ->
-            let d = th.blocked_since + effective_weak_timeout eng + 1 in
-            if d < !weak then weak := d
-        | _ -> ())
-      eng.threads;
-  (eng.io_min, !weak)
-
 (* the smallest multiple of [mask + 1] at or after [t] *)
 let at_or_after ~mask t = (t + mask) land lnot mask
 
@@ -2664,24 +2765,14 @@ let idle_span eng =
      blocked fast-forward's case *)
   if !k <= 0 || (!multi && !empty) || not !busy then 0
   else begin
-    (* the span ends before [tick] *)
-    let ends_before tick = k := min !k (tick - 1 - t0) in
-    if
-      (eng.n_bturn > 0 && not (turns_quiet eng))
-      || eng.n_breacq > 0 || eng.n_reacq > 0
-      || match eng.replayer with
-         | Some r -> Replay.Replayer.has_forced r
-         | None -> false
-    then ends_before (at_or_after ~mask:15 (t0 + 1));
-    (* a [BReacq] waiter's deadline needs no scan: the bound above
-       already ends the span before the next maintenance tick, and
-       sweep ticks are maintenance ticks *)
-    if eng.io_min < max_int then
-      ends_before (at_or_after ~mask:15 (max eng.io_min (t0 + 1)));
-    if eng.replayer = None && (not (det_mode eng)) && eng.n_bweak > 0 then begin
-      let _, weak = next_wakes eng in
-      ends_before (at_or_after ~mask:(weak_sweep_mask eng) (max weak (t0 + 1)))
-    end;
+    (* the span ends before the first tick at which a pass that runs
+       may act *)
+    let ends_before ~mask from =
+      if from < max_int then
+        k := min !k (at_or_after ~mask (max from (t0 + 1)) - 1 - t0)
+    in
+    ends_before ~mask:15 (maintenance_from eng);
+    ends_before ~mask:(weak_sweep_mask eng) (sweep_from eng);
     !k
   end
 
@@ -2804,6 +2895,7 @@ let make_engine ?(config = default_config) ?(hooks = no_hooks ()) ?sink
       thread_order = [];
       queues = Array.init config.cores (fun _ -> { ts = []; len = 0 });
       n_multi = 0;
+      n_busy = 0;
       quanta = Array.make config.cores config.quantum;
       globals = Hashtbl.create 64;
       recorder;
@@ -2818,6 +2910,7 @@ let make_engine ?(config = default_config) ?(hooks = no_hooks ()) ?sink
       live = 0;
       exit_code = None;
       rng = (config.seed * 2) + 1;
+      tick_draw = 0;
       main_done = false;
       pct_floor = 0;
       flayouts = Hashtbl.create 64;
@@ -2914,16 +3007,29 @@ let run_engine (eng : t) : outcome =
        end;
        (* rotate the starting core each tick to vary cross-core order *)
        let cores = eng.cfg.cores in
-       let c = ref (rng_next eng mod cores) in
+       eng.tick_draw <- rng_next eng;
+       let c = ref (eng.tick_draw mod cores) and left = ref cores in
+       let tick = ref eng.ticks in
        resumed := false;
-       for _ = 1 to cores do
+       while !left > 0 do
+         let c0 = !c in
+         decr left;
+         incr c;
+         if !c = cores then c := 0;
          (* an empty core's tick is a no-op while no queue holds two
             entries to steal from *)
          if
-           (eng.queues.(!c).len > 0 || eng.n_multi > 0) && tick_core eng !c
-         then resumed := true;
-         incr c;
-         if !c = cores then c := 0
+           (eng.queues.(c0).len > 0 || eng.n_multi > 0) && tick_core eng c0
+         then begin
+           resumed := true;
+           (* the thread stepped in place into a later tick: what is
+              left is that tick's cores after [c0], up to its start
+              core *)
+           if eng.ticks <> !tick then begin
+             tick := eng.ticks;
+             left := ((eng.tick_draw mod cores) - !c + cores) mod cores
+           end
+         end
        done;
        (* fast-forward idle periods (everything blocked on IO/turn). A
           thread resumed this tick is still queued: [tick_core] drops only
@@ -2937,10 +3043,7 @@ let run_engine (eng : t) : outcome =
            (* all blocked: jump to the next wake-up — an IO completion or
               a weak-lock timeout deadline (the escape hatch that resolves
               weak-lock-vs-program-sync deadlocks, Section 2.3) *)
-           let next_wake =
-             let io, weak = next_wakes eng in
-             min io weak
-           in
+           let next_wake = min eng.io_min (weak_deadline eng) in
            ph_add eng Phases.Scheduler t0;
            if next_wake < max_int then begin
              if next_wake > eng.ticks then begin

@@ -9,7 +9,8 @@
     whose two reads would cost more than one core's tick, so it is the
     scheduler cost this books as interpreter time: [tick_core], the
     start-core draw, the idle-span bound and the skip that stands in
-    for idle ticks (DESIGN.md §22). Buckets are swap-free monotonic-clock
+    for idle ticks (DESIGN.md §22), and the ticks a step taken in place
+    stands for, which run inside the thread's own step (§23). Buckets are swap-free monotonic-clock
     spans around non-suspending sections only, so they never straddle a
     coroutine switch; interpreter time is what remains of the run total
     after the explicit buckets. With no [Phases.t]

@@ -197,7 +197,26 @@ module Enc = struct
 end
 
 module Dec = struct
-  type cursor = { s : string; mutable pos : int }
+  (* tables keyed by the packed ints of [tid_path], whose low bits
+     already spread *)
+  module Keyed = Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+    let hash k = k
+  end)
+
+  type cursor = {
+    s : string;
+    mutable pos : int;
+    paths : Key.tid_path Keyed.t;
+        (** the tid paths decoded so far, each kept once, by key *)
+    mutable path_key : int;
+        (** the key of the last path {!tid_path} read; -1 for none *)
+  }
+
+  let cursor ?(paths = Keyed.create 16) s =
+    { s; pos = 0; paths; path_key = -1 }
 
   let corrupt c fmt =
     Fmt.kstr (fun m -> raise (Corrupt (Fmt.str "%s (byte %d)" m c.pos))) fmt
@@ -257,7 +276,41 @@ module Dec = struct
     done;
     !r
 
-  let tid_path c : Key.tid_path = list c varint
+  (* The copy of [v] kept under [key] in [tbl], [v] itself the first
+     time. A log repeats a few values thousands of times (a thread's
+     path, one thread's operation), and decoded events that share one
+     copy each are what a streamed replay holds and promotes while a
+     segment plays. *)
+  let share tbl key v =
+    match Keyed.find tbl key with
+    | v' -> v'
+    | exception Not_found ->
+        Keyed.add tbl key v;
+        v
+
+  (* A path of at most five elements below 1023 has a one-int key, ten
+     bits per element: it is looked up before its list is built, so a
+     path seen before costs no allocation. Others are decoded fresh,
+     with key -1. *)
+  let tid_path c : Key.tid_path =
+    let start = c.pos in
+    let n = varint c in
+    let rec pack i key =
+      if i = n then key
+      else
+        let k = varint c in
+        if k < 0 || k > 1022 then -1
+        else pack (i + 1) ((key lsl 10) lor (k + 1))
+    in
+    let key = if n >= 0 && n <= 5 then pack 0 0 else -1 in
+    c.path_key <- key;
+    match Keyed.find c.paths key with
+    | p -> p
+    | exception Not_found ->
+        c.pos <- start;
+        let p = list c varint in
+        if key >= 0 then Keyed.add c.paths key p;
+        p
 
   let origin c =
     match varint c with
@@ -417,7 +470,7 @@ let check_consumed (c : Dec.cursor) what =
 
 let decode (input_log : string) (order_log : string) : t =
   let t = create () in
-  let c = { Dec.s = input_log; pos = 0 } in
+  let c = Dec.cursor input_log in
   let n = Dec.varint c in
   for _ = 1 to n do
     let p = Dec.tid_path c in
@@ -426,7 +479,10 @@ let decode (input_log : string) (order_log : string) : t =
   done;
   t.syscall_order <- Dec.rev_list c Dec.tid_path;
   check_consumed c "input log";
-  let c = { Dec.s = order_log; pos = 0 } in
+  let c = Dec.cursor ~paths:c.paths order_log in
+  (* an operation by a thread, or an acquisition with no claim, is
+     shared by its thread's path key *)
+  let op_pairs = Dec.Keyed.create 16 and acq_pairs = Dec.Keyed.create 16 in
   let nsync = Dec.varint c in
   for _ = 1 to nsync do
     let a = Dec.addr c in
@@ -439,7 +495,8 @@ let decode (input_log : string) (order_log : string) : t =
             else sync_op_of_code code
           in
           let p = Dec.tid_path c in
-          (op, p))
+          if c.path_key < 0 then (op, p)
+          else Dec.share op_pairs ((c.path_key lsl 3) lor code) (op, p))
     in
     Hashtbl.replace t.sync_order a (ref ops)
   done;
@@ -449,6 +506,7 @@ let decode (input_log : string) (order_log : string) : t =
     let ps =
       Dec.rev_list c (fun c ->
           let p = Dec.tid_path c in
+          let key = c.path_key in
           let claim =
             Dec.list c (fun c ->
                 let o = Dec.origin c in
@@ -457,7 +515,8 @@ let decode (input_log : string) (order_log : string) : t =
                 let w = Dec.varint c in
                 { sr_origin = o; sr_lo = lo; sr_hi = hi; sr_write = w <> 0 })
           in
-          (p, claim))
+          if key < 0 || claim <> [] then (p, claim)
+          else Dec.share acq_pairs key (p, claim))
     in
     Hashtbl.replace t.weak_order w (ref ps)
   done;

@@ -64,7 +64,8 @@ let check_contains what hay needle =
 
 (* The stderr summary of a run: scheduler iterations and core ticks are
    both printed; an iteration runs at most one tick per core (4 by
-   default), and an empty core's tick is skipped *)
+   default), and an empty core's tick is skipped. The steps taken in
+   place are a part of all steps. *)
 let check_summary what err =
   let line =
     List.find
@@ -72,15 +73,19 @@ let check_summary what err =
       (String.split_on_char '\n' err)
   in
   Scanf.sscanf line
-    "[%d simulated ticks (%d scheduler iterations, %d core ticks,"
-    (fun ticks iters core_ticks ->
+    "[%d simulated ticks (%d scheduler iterations, %d core ticks, %d idle \
+     ticks skipped, %d blocked ticks jumped), %d steps, %d in place,"
+    (fun ticks iters core_ticks _ _ steps inline ->
       if
         not
           (0 < iters && iters <= ticks && 0 < core_ticks
-          && core_ticks <= 4 * iters)
+          && core_ticks <= 4 * iters
+          && 0 <= inline && inline <= steps)
       then
-        Alcotest.failf "%s: %d ticks, %d scheduler iterations, %d core ticks"
-          what ticks iters core_ticks)
+        Alcotest.failf
+          "%s: %d ticks, %d scheduler iterations, %d core ticks, %d steps, \
+           %d in place"
+          what ticks iters core_ticks steps inline)
 
 (* the canonical racy program: two threads increment a shared counter
    through a read-modify-write, under no lock *)

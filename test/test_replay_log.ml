@@ -42,6 +42,49 @@ let test_roundtrip () =
   Alcotest.(check string) "input log stable" i i';
   Alcotest.(check string) "order log stable" o o'
 
+(* Decoded events share one copy of each thread's path and of each
+   repeated (operation, thread) and unclaimed (thread, claim) pair;
+   paths too deep or with elements too large for the packed key (or
+   negative) decode fresh, and every path reads back as written *)
+let test_decode_shares () =
+  let rc = Replay.Recorder.create () in
+  let paths = [ [ 0 ]; [ 1; 2 ]; [ 0; 1; 2; 3; 4; 5 ]; [ 2000 ]; [ -1 ] ] in
+  for _ = 1 to 3 do
+    List.iter
+      (fun tp ->
+        Replay.Recorder.rec_input rc ~tp [ 7 ];
+        Replay.Recorder.rec_sync rc ~obj:(addr "m" 0)
+          ~op:Replay.Log.SMutexAcq ~tp;
+        Replay.Recorder.rec_weak rc ~lock:(wl 0 Gfunc) ~tp ~claim:[])
+      paths
+  done;
+  let log = rc.Replay.Recorder.log in
+  let i = Replay.Log.encode_input_log log in
+  let o = Replay.Log.encode_order_log log in
+  let log' = Replay.Log.decode i o in
+  Alcotest.(check string)
+    "input log stable" i (Replay.Log.encode_input_log log');
+  Alcotest.(check string)
+    "order log stable" o (Replay.Log.encode_order_log log');
+  let syncs = !(Hashtbl.find log'.sync_order (addr "m" 0)) in
+  let acqs = !(Hashtbl.find log'.weak_order (wl 0 Gfunc)) in
+  (* the entries of thread [tp] in [xs] are one value *)
+  let shared thread tp xs =
+    match List.filter (fun e -> thread e = tp) xs with
+    | e :: rest -> List.for_all (fun e' -> e' == e) rest
+    | [] -> false
+  in
+  List.iter
+    (fun tp ->
+      let packed =
+        List.length tp <= 5 && List.for_all (fun k -> k >= 0 && k < 1023) tp
+      in
+      Alcotest.(check bool)
+        (Fmt.str "%a: one entry per thread and operation" Key.pp_tid_path tp)
+        packed
+        (shared snd tp syncs && shared fst tp acqs))
+    paths
+
 (* an order log as the recorder wrote it while it still logged the
    per-core schedule: empty sync, weak and forced sections, then four
    one-tick schedule segments. The format has no schedule section, so
@@ -523,6 +566,8 @@ let prop_log_roundtrip_full_range =
 let suite =
   [
     Alcotest.test_case "log roundtrip" `Quick test_roundtrip;
+    Alcotest.test_case "decode shares repeated paths and pairs" `Quick
+      test_decode_shares;
     Alcotest.test_case "sched: per-tick log decodes" `Quick
       test_sched_per_tick_log_decodes;
     Alcotest.test_case "replayer inputs" `Quick test_replayer_inputs;

@@ -122,6 +122,79 @@ let pins =
       p_log_md5 = "2246d4c2b6224953c94d4909abc69f92"; p_replay_ticks = 54392 })
   ]
 
+(* Scheduler-work pins of the cells where one thread most often runs
+   alone, taken before steps were taken in place: scheduler iterations,
+   core ticks and skipped ticks of the recording and of its replay at
+   seed + 7919, and the ticks of a native run of the original program
+   at the cell's config. A step taken in place stands for exactly one
+   iteration and one core tick, so every figure must stay. *)
+type sched_pin = {
+  s_record : int * int * int;  (** iterations, core ticks, skipped *)
+  s_replay : int * int * int;
+  s_native_ticks : int;
+}
+
+let sched_pins =
+  [
+    ("knot/default", { s_record = (6949, 7369, 23837);
+      s_replay = (7195, 8019, 13808); s_native_ticks = 485650 });
+    ("knot/pct", { s_record = (6948, 7374, 23838);
+      s_replay = (7192, 8012, 13811); s_native_ticks = 485650 });
+    ("knot/storm", { s_record = (10880, 11373, 19912);
+      s_replay = (9846, 11451, 11156); s_native_ticks = 485651 });
+    ("apache/default", { s_record = (43622, 46890, 177642);
+      s_replay = (43307, 47702, 128784); s_native_ticks = 774630 });
+    ("apache/pct", { s_record = (43622, 46890, 177642);
+      s_replay = (43307, 47703, 128784); s_native_ticks = 774630 });
+    ("apache/storm", { s_record = (76947, 89236, 144324);
+      s_replay = (68154, 80737, 103937); s_native_ticks = 773972 });
+    ("aget/default", { s_record = (14043, 27289, 20428);
+      s_replay = (13279, 28971, 9956); s_native_ticks = 105849 });
+    ("aget/pct", { s_record = (14043, 27289, 20428);
+      s_replay = (13292, 29447, 9974); s_native_ticks = 105849 });
+    ("aget/storm", { s_record = (19883, 41754, 14571);
+      s_replay = (16899, 41391, 5897); s_native_ticks = 105849 });
+  ]
+
+let sched_work (o : Engine.outcome) =
+  (o.o_stats.n_sched_iters, o.o_stats.n_core_ticks, o.o_stats.n_ticks_skipped)
+
+let check_sched_pin what ~native (r : Chimera.Runner.recorded)
+    (rp : Engine.outcome) =
+  match List.assoc_opt what sched_pins with
+  | None -> ()
+  | Some p ->
+      let triple = Alcotest.(triple int int int) in
+      Alcotest.check triple
+        (what ^ ": record iterations, core ticks, skipped")
+        p.s_record (sched_work r.rc_outcome);
+      Alcotest.check triple
+        (what ^ ": replay iterations, core ticks, skipped")
+        p.s_replay (sched_work rp);
+      Alcotest.(check int) (what ^ ": native ticks") p.s_native_ticks
+        (native ()).Engine.o_ticks
+
+(* One core under pct, taken before steps were taken in place: recorded
+   and native ticks. With one core every queued thread shares the only
+   queue, and pct may put a thread woken behind the runner ahead of it
+   at the next tick, so a step is taken in place only while no queue
+   holds two entries. *)
+let one_core_pins = [ ("aget", (142725, 107749)); ("fft", (42736, 25780)) ]
+
+let check_one_core_pin (b : Bench_progs.Registry.bench)
+    (an : Chimera.Pipeline.analysis) io =
+  match List.assoc_opt b.b_name one_core_pins with
+  | None -> ()
+  | Some pin ->
+      let config =
+        { Engine.default_config with seed = 1; cores = 1; strategy = Engine.Spct }
+      in
+      let r = Chimera.Runner.record ~config ~io an.an_instrumented in
+      let n = Chimera.Runner.native ~config ~io an.an_prog in
+      Alcotest.(check (pair int int))
+        (b.b_name ^ "/pct on one core: recorded and native ticks")
+        pin (r.rc_outcome.o_ticks, n.o_ticks)
+
 let log_md5 (log : Replay.Log.t) =
   Digest.to_hex
     (Digest.string
@@ -211,6 +284,7 @@ let test_benches_replay () =
              (b.b_source ~workers:4 ~scale:b.b_eval_scale))
       in
       let io = b.b_io ~seed:42 ~scale:b.b_eval_scale in
+      check_one_core_pin b an io;
       List.iter
         (fun strategy ->
           let what = b.b_name ^ "/" ^ Engine.strategy_name strategy in
@@ -224,6 +298,8 @@ let test_benches_replay () =
               ~io an.an_instrumented r.rc_log
           in
           check_pin what r rp;
+          check_sched_pin what r rp ~native:(fun () ->
+              Chimera.Runner.native ~config ~io an.an_prog);
           match Chimera.Runner.same_execution r.rc_outcome rp with
           | Ok () -> ()
           | Error d ->
@@ -256,6 +332,22 @@ let test_contended_pin () =
   match Chimera.Runner.same_execution r.rc_outcome rp with
   | Ok () -> ()
   | Error d -> Alcotest.failf "ocean/pct/16w: %a" Chimera.Runner.pp_divergence d
+
+(* A run cut at [max_ticks] ends at that tick exactly, also when a lone
+   thread takes its steps in place *)
+let test_max_ticks_exact () =
+  let prog =
+    Minic.Parser.parse ~file:"long.mc"
+      "int main() { int i; int s; s = 0;\n\
+      \  for (i = 0; i < 100000; i++) { s = s + i; }\n\
+      \  output(s); return 0; }"
+  in
+  let config = { Engine.default_config with seed = 1; max_ticks = 5_000 } in
+  let o = Engine.run ~config ~mode:Engine.Native ~io prog in
+  Alcotest.(check bool) "timed out" true o.o_timed_out;
+  Alcotest.(check int) "stopped at max_ticks" 5_000 o.o_ticks;
+  if o.o_stats.n_steps_inline = 0 then
+    Alcotest.fail "the lone thread took no step in place"
 
 (* An idle span of k ticks advances the rng by k draws in one jump. It
    must equal k [rng_next] calls from any state a seed gives, bit 62
@@ -321,4 +413,6 @@ let suite =
         `Quick test_rng_jump_small;
       Alcotest.test_case "rng: the zero-state guard is dead" `Quick
         test_rng_dead_guard;
+      Alcotest.test_case "a lone thread stops at max_ticks exactly" `Quick
+        test_max_ticks_exact;
     ]

@@ -163,6 +163,12 @@ let test_windowed_replay_halts_with_matching_digest () =
     (win.st_segments_loaded < nseg);
   Alcotest.(check int) "loaded exactly the covering prefix" (cover + 1)
     win.st_segments_loaded;
+  (* the run stops at the end of the tick in which the covering segment
+     drained, before any later step: its ticks and steps are pinned *)
+  Alcotest.(check (pair int int))
+    "windowed replay's ticks and steps" (5210, 483)
+    ( win.st_outcome.o_ticks,
+      List.fold_left (fun n (_, s) -> n + s) 0 win.st_outcome.o_steps );
   (* the halt digest is the full replay's digest at the same drain: a
      windowed replay is a prefix of the full one, instant for instant *)
   let digest_at digests idx =
