@@ -9,7 +9,7 @@
 # the sharded test runner); it defaults to all cores.
 .PHONY: all build test test-par check loc bench-json bench-wall bench-regress \
 	par-check lockopt-check stress-check gates refine-check log-check \
-	bench-sustained clean
+	bench-sustained perf-ab clean
 
 J ?= 0
 # wall-clock harness knobs: repetitions per phase, regression tolerance,
@@ -134,6 +134,20 @@ refine-check:
 # (residency ratios) on stdout
 bench-sustained:
 	dune exec bench/main.exe -- sustained
+
+# A/B of the repository benchmark (perfbench/run.py) on workload W:
+# revision BASE, extracted with git archive into a temporary directory,
+# against the working tree, one pair of SECS-second runs per seed of
+# SEEDS (A..B or A,B,C), the side that runs first alternating by pair;
+# prints per-metric medians, quartiles, pairs won and every pair
+BASE ?= HEAD
+W ?= analyze
+SEEDS ?= 1..5
+SECS ?= 10
+
+perf-ab:
+	python3 tools/perf_ab.py --base $(BASE) --workload $(W) --seeds $(SEEDS) \
+		--seconds $(SECS)
 
 clean:
 	dune clean

@@ -7,10 +7,11 @@
     order.
 
     Block ids are dense (allocated 1, 2, 3, ...), so the table is a
-    growable array indexed by id rather than a hash table: every load and
-    store resolves its block with a bounds check and an array read, which
-    matters — the interpreter goes through here for each memory access of
-    every simulated statement. *)
+    growable array indexed by id rather than a hash table, and an empty
+    slot holds a stub without cells: every load and store reads the
+    cells of whatever its id resolves to, which matters — the
+    interpreter goes through here for each memory access of every
+    simulated statement. *)
 
 open Runtime
 
@@ -22,15 +23,22 @@ type block = {
 }
 
 type t = {
-  mutable blocks : block option array;  (** indexed by block id *)
+  mutable blocks : block array;  (** indexed by block id *)
   mutable next_id : int;
 }
 
-let create () = { blocks = Array.make 1024 None; next_id = 1 }
+(* the stub of every empty slot, told apart from a freed block by identity *)
+let absent = { b_id = 0; b_origin = Key.OGlobal ""; cells = [||]; b_freed = true }
+
+let create () = { blocks = Array.make 1024 absent; next_id = 1 }
+
+let slot (m : t) (id : int) : block =
+  if id >= 0 && id < Array.length m.blocks then Array.unsafe_get m.blocks id
+  else absent
 
 let find_opt (m : t) (id : int) : block option =
-  if id >= 0 && id < Array.length m.blocks then Array.unsafe_get m.blocks id
-  else None
+  let b = slot m id in
+  if b == absent then None else Some b
 
 let alloc (m : t) (origin : Key.origin) (size : int) : block =
   let b =
@@ -44,11 +52,11 @@ let alloc (m : t) (origin : Key.origin) (size : int) : block =
   m.next_id <- m.next_id + 1;
   let n = Array.length m.blocks in
   if b.b_id >= n then begin
-    let bigger = Array.make (max (2 * n) (b.b_id + 1)) None in
+    let bigger = Array.make (max (2 * n) (b.b_id + 1)) absent in
     Array.blit m.blocks 0 bigger 0 n;
     m.blocks <- bigger
   end;
-  m.blocks.(b.b_id) <- Some b;
+  m.blocks.(b.b_id) <- b;
   b
 
 (* A freed block stays in the table as a stub without cells: a later
@@ -56,31 +64,34 @@ let alloc (m : t) (origin : Key.origin) (size : int) : block =
    its origin, but the memory of a returned frame is reclaimed during
    the run instead of when the engine is dropped. *)
 let free (m : t) (id : int) =
-  match find_opt m id with
-  | Some b -> m.blocks.(id) <- Some { b with cells = [||]; b_freed = true }
-  | None -> ()
+  let b = slot m id in
+  if b != absent then m.blocks.(id) <- { b with cells = [||]; b_freed = true }
 
 let block (m : t) (id : int) : block =
-  match find_opt m id with
-  | Some b when not b.b_freed -> b
-  | Some _ -> Value.fault "use of freed block b%d" id
-  | None -> Value.fault "invalid block b%d" id
+  let b = slot m id in
+  if b == absent then Value.fault "invalid block b%d" id
+  else if b.b_freed then Value.fault "use of freed block b%d" id
+  else b
 
 (* cell [off] of block [id]: the interpreter passes a pointer's two
-   parts, so that an access builds no [Value.ptr] *)
+   parts, so that an access builds no [Value.ptr]. Freed and absent
+   blocks have no cells, so an access outside the cells faults through
+   [block] first, with the text it always had. *)
 let load_at (m : t) (id : int) (off : int) : Value.t =
-  let b = block m id in
-  if off < 0 || off >= Array.length b.cells then
+  let cells = (slot m id).cells in
+  if off >= 0 && off < Array.length cells then Array.unsafe_get cells off
+  else
+    let b = block m id in
     Value.fault "out-of-bounds load at %a+%d (size %d)" Key.pp_origin
       b.b_origin off (Array.length b.cells)
-  else Array.unsafe_get b.cells off
 
 let store_at (m : t) (id : int) (off : int) (v : Value.t) : unit =
-  let b = block m id in
-  if off < 0 || off >= Array.length b.cells then
+  let cells = (slot m id).cells in
+  if off >= 0 && off < Array.length cells then Array.unsafe_set cells off v
+  else
+    let b = block m id in
     Value.fault "out-of-bounds store at %a+%d (size %d)" Key.pp_origin
       b.b_origin off (Array.length b.cells)
-  else Array.unsafe_set b.cells off v
 
 (** Stable address of a pointer, for log keys. *)
 let addr_key (m : t) (p : Value.ptr) : Key.addr =
@@ -120,8 +131,7 @@ let state_hash (m : t) : int =
   let entries = ref [] in
   for id = 1 to m.next_id - 1 do
     match m.blocks.(id) with
-    | Some ({ b_origin = Key.OGlobal _ | Key.OHeap _; b_freed = false; _ } as b)
-      ->
+    | { b_origin = Key.OGlobal _ | Key.OHeap _; b_freed = false; _ } as b ->
         Buffer.clear out;
         Key.add_origin out b.b_origin;
         Buffer.add_char out '=';
