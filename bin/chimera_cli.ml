@@ -339,11 +339,11 @@ let print_outcome (o : Interp.Engine.outcome) =
   Fmt.epr
     "[%d simulated ticks (%d scheduler iterations, %d core ticks, %d idle \
      ticks skipped, %d blocked ticks jumped), %d steps, %d in place, %d \
-     statements, %d threads, %d replay-gate checks]@."
+     ahead, %d statements, %d threads, %d replay-gate checks]@."
     o.o_ticks st.n_sched_iters st.n_core_ticks st.n_ticks_skipped
     st.n_ticks_jumped
     (List.fold_left (fun n (_, s) -> n + s) 0 o.o_steps)
-    st.n_steps_inline st.n_stmts (List.length o.o_steps) st.n_turn_checks
+    st.n_steps_inline st.n_steps_ahead st.n_stmts (List.length o.o_steps) st.n_turn_checks
 
 let run_cmd =
   let run file seed cores io_seed strategy seeds trace_out =

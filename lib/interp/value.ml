@@ -14,6 +14,12 @@ type t =
 
 let zero = VInt 0
 
+(* the values 0..255, built once: a byte a read returns is stored as
+   one of these instead of a fresh block *)
+let bytes = Array.init 256 (fun b -> VInt b)
+
+let of_byte b = if b land 255 = b then Array.unsafe_get bytes b else VInt b
+
 let pp ppf = function
   | VInt n -> Fmt.int ppf n
   | VPtr p -> Fmt.pf ppf "&b%d+%d" p.p_block p.p_off

@@ -10,6 +10,9 @@ type t =
   | VFun of string
 
 val zero : t
+
+(** [VInt b], shared for every [b] in 0..255 *)
+val of_byte : int -> t
 val pp : t Fmt.t
 
 exception Fault of string

@@ -138,6 +138,8 @@ let compare_weak_lock a b =
   | 0 -> compare a.wl_id b.wl_id
   | c -> c
 
+let equal_weak_lock a b = a.wl_id = b.wl_id && a.wl_gran == b.wl_gran
+
 let pp_weak_lock ppf w = Fmt.pf ppf "%a%d" pp_granularity w.wl_gran w.wl_id
 
 (** One symbolic address range of a weak-lock acquisition: inclusive

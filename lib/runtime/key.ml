@@ -87,6 +87,12 @@ let compare_tid_path (a : tid_path) (b : tid_path) : int =
   in
   go a b
 
+let rec equal_tid_path (a : tid_path) (b : tid_path) =
+  match (a, b) with
+  | [], [] -> true
+  | x :: xs, y :: ys -> x = y && equal_tid_path xs ys
+  | _ -> false
+
 let compare_origin (a : origin) (b : origin) : int =
   match (a, b) with
   | OGlobal x, OGlobal y -> String.compare x y
@@ -107,6 +113,14 @@ let compare_addr (a : addr) (b : addr) : int =
 module Addr_map = Map.Make (struct
   type t = addr
   let compare = compare_addr
+end)
+
+(* the polymorphic hash, so buckets and iteration order are those of a
+   [Hashtbl.t] with the same keys *)
+module Path_tbl = Hashtbl.Make (struct
+  type t = tid_path
+  let equal = equal_tid_path
+  let hash = Hashtbl.hash
 end)
 
 module Addr_tbl = Hashtbl.Make (struct

@@ -31,8 +31,13 @@ type addr = { a_origin : origin; a_off : int }
 
 val pp_addr : addr Fmt.t
 val compare_tid_path : tid_path -> tid_path -> int
+val equal_tid_path : tid_path -> tid_path -> bool
 val compare_origin : origin -> origin -> int
 val compare_addr : addr -> addr -> int
 
 module Addr_map : Map.S with type key = addr
 module Addr_tbl : Hashtbl.S with type key = addr
+
+(** Keyed by [equal_tid_path] and hashed by [Hashtbl.hash], so buckets and
+    iteration order are those of a polymorphic [Hashtbl.t] *)
+module Path_tbl : Hashtbl.S with type key = tid_path

@@ -169,7 +169,7 @@ type lock_state = {
 
 module Wl_tbl = Hashtbl.Make (struct
   type t = weak_lock
-  let equal = ( = )
+  let equal = equal_weak_lock
   let hash = Hashtbl.hash
 end)
 

@@ -65,7 +65,7 @@ let check_contains what hay needle =
 (* The stderr summary of a run: scheduler iterations and core ticks are
    both printed; an iteration runs at most one tick per core (4 by
    default), and an empty core's tick is skipped. The steps taken in
-   place are a part of all steps. *)
+   place and the steps passed ahead are each a part of all steps. *)
 let check_summary what err =
   let line =
     List.find
@@ -74,18 +74,20 @@ let check_summary what err =
   in
   Scanf.sscanf line
     "[%d simulated ticks (%d scheduler iterations, %d core ticks, %d idle \
-     ticks skipped, %d blocked ticks jumped), %d steps, %d in place,"
-    (fun ticks iters core_ticks _ _ steps inline ->
+     ticks skipped, %d blocked ticks jumped), %d steps, %d in place, %d \
+     ahead,"
+    (fun ticks iters core_ticks _ _ steps inline ahead ->
       if
         not
           (0 < iters && iters <= ticks && 0 < core_ticks
           && core_ticks <= 4 * iters
-          && 0 <= inline && inline <= steps)
+          && 0 <= inline && inline <= steps
+          && 0 <= ahead && ahead <= steps)
       then
         Alcotest.failf
           "%s: %d ticks, %d scheduler iterations, %d core ticks, %d steps, \
-           %d in place"
-          what ticks iters core_ticks steps inline)
+           %d in place, %d ahead"
+          what ticks iters core_ticks steps inline ahead)
 
 (* the canonical racy program: two threads increment a shared counter
    through a read-modify-write, under no lock *)

@@ -739,6 +739,35 @@ let test_state_hash_all_blocks () =
   if hash_with 10 = hash_with 11 then
     Alcotest.fail "state hash ignores the eleventh block"
 
+(* A [break] or [continue] that unwinds out of a callee into the caller's
+   loop leaves the call as a return does: the callee's frame is freed
+   (before, [frame(T0,2)] and [frame(T0,4)] stayed live). The outputs and
+   ticks are the ones the engine printed before the fix. *)
+let test_break_out_of_call_frees_frame () =
+  let p =
+    Minic.Parser.parse ~file:"leak.mc"
+      "int f(int i) { if (i == 1) { continue; } if (i == 3) { break; }\n\
+      \  output(i); return i; }\n\
+       int main() { int i; for (i = 0; i < 10; i++) { f(i); } output(99);\n\
+      \  return 0; }"
+  in
+  let eng =
+    Interp.Engine.make_engine
+      ~config:{ Interp.Engine.default_config with seed = 1; cores = 4 }
+      ~mode:Interp.Engine.Native ~io:(Interp.Iomodel.random ~seed:1) p
+  in
+  let o = Interp.Engine.run_engine eng in
+  Alcotest.(check (list int)) "outputs" [ 0; 2; 99 ] (outputs o);
+  Alcotest.(check int) "ticks" 209 o.o_ticks;
+  let live = ref [] in
+  for id = 1 to 64 do
+    match Interp.Mem.find_opt eng.mem id with
+    | Some { b_origin = Runtime.Key.OFrame _ as og; b_freed = false; _ } ->
+        live := Fmt.str "%a" Runtime.Key.pp_origin og :: !live
+    | _ -> ()
+  done;
+  Alcotest.(check (list string)) "no frame stays live" [] !live
+
 let suite =
   [
     Alcotest.test_case "arith" `Quick test_arith;
@@ -779,4 +808,6 @@ let suite =
       test_state_hash_all_blocks;
     Alcotest.test_case "frame and memory fault pins" `Quick
       test_frame_and_fault_pins;
+    Alcotest.test_case "break/continue out of a call frees its frame" `Quick
+      test_break_out_of_call_frees_frame;
   ]
