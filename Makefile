@@ -7,7 +7,7 @@
 #
 # J controls the domain count of the parallel targets (bench -j flag /
 # the sharded test runner); it defaults to all cores.
-.PHONY: all build test test-par check loc bench-json bench-wall bench-regress \
+.PHONY: all build test test-par check no-catchall loc bench-json bench-wall bench-regress \
 	par-check lockopt-check stress-check gates refine-check log-check \
 	bench-sustained perf-ab clean
 
@@ -39,6 +39,15 @@ test-par:
 
 check:
 	dune build && dune runtest
+
+# lib/ holds no catch-all handler: a `with _ ->` or `| exception _` also
+# swallows Out_of_memory, Stack_overflow and the analyses' own bugs, so
+# each handler names the exceptions it expects
+no-catchall:
+	@if grep -rnE 'with +_ *->|exception +_' lib --include='*.ml'; then \
+		echo "no-catchall: catch-all handlers above; name the exceptions"; \
+		exit 1; \
+	else echo "no-catchall: lib/ holds no catch-all handler"; fi
 
 # the .ml/.mli line count of lib/, bin/ and test/, the size figure
 # ROADMAP.md tracks next to wall time

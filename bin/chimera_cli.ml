@@ -24,7 +24,28 @@ let read_file path =
   close_in ic;
   s
 
-let load path = Minic.Typecheck.parse_and_check ~file:path (read_file path)
+(* exit code for a MiniC source file that does not lex, parse or
+   typecheck (distinct from cmdliner's reserved 123-125 range) *)
+let source_error_exit = 4
+
+let source_error_info =
+  Cmd.Exit.info source_error_exit
+    ~doc:"the MiniC source file does not lex, parse or typecheck"
+
+(* The one loader of MiniC source files: parse and check [path]. A lex,
+   parse or type error prints FILE:LINE: message and exits with
+   [source_error_exit]. *)
+let load path =
+  let fail line m =
+    if line > 0 then Fmt.epr "%s:%d: %s@." path line m
+    else Fmt.epr "%s: %s@." path m;
+    exit source_error_exit
+  in
+  match Minic.Typecheck.parse_and_check ~file:path (read_file path) with
+  | p -> p
+  | exception Minic.Lexer.Lex_error (m, line) -> fail line m
+  | exception Minic.Parser.Parse_error (m, line) -> fail line m
+  | exception Minic.Typecheck.Type_error (m, loc) -> fail loc.line m
 
 let write_file name s =
   let oc = open_out_bin name in
@@ -192,7 +213,7 @@ let analyze_file ?opts ?mhp ?(profile_runs = 8) ?(no_lockopt = false)
         ~lockopt:(not no_lockopt) ?pool
         ?cache:(cache_of ~no_cache ~cache_dir)
         ~cache_log:cli_cache_log
-        (Minic.Parser.parse ~file:path (read_file path)))
+        (load path))
 
 (* ------------------------------------------------------------------ *)
 
@@ -275,7 +296,8 @@ let races_cmd =
   in
   Cmd.v
     (Cmd.info "races"
-       ~doc:"Static data-race report (RELAY + MHP fork/join pruning)")
+       ~doc:"Static data-race report (RELAY + MHP fork/join pruning)"
+       ~exits:(source_error_info :: Cmd.Exit.defaults))
     Term.(
       const run $ file_arg $ explain_arg $ no_mhp_arg $ jobs_arg
       $ no_cache_arg $ cache_dir_arg)
@@ -312,7 +334,8 @@ let plan_cmd =
     end
   in
   Cmd.v
-    (Cmd.info "plan" ~doc:"Weak-lock granularity plan (profiling + bounds)")
+    (Cmd.info "plan" ~doc:"Weak-lock granularity plan (profiling + bounds)"
+       ~exits:(source_error_info :: Cmd.Exit.defaults))
     Term.(
       const run $ file_arg $ profile_runs_arg $ opts_arg $ no_lockopt_arg
       $ jobs_arg $ no_cache_arg $ cache_dir_arg $ explain_plan_arg)
@@ -325,7 +348,9 @@ let instrument_cmd =
     in
     print_string (Minic.Pretty.program_to_string an.an_instrumented)
   in
-  Cmd.v (Cmd.info "instrument" ~doc:"Print the weak-lock-instrumented program")
+  Cmd.v
+    (Cmd.info "instrument" ~doc:"Print the weak-lock-instrumented program"
+       ~exits:(source_error_info :: Cmd.Exit.defaults))
     Term.(
       const run $ file_arg $ profile_runs_arg $ opts_arg $ no_lockopt_arg
       $ jobs_arg $ no_cache_arg $ cache_dir_arg)
@@ -368,7 +393,9 @@ let run_cmd =
                  prog))
           (seeds_list range)
   in
-  Cmd.v (Cmd.info "run" ~doc:"Execute a MiniC program natively")
+  Cmd.v
+    (Cmd.info "run" ~doc:"Execute a MiniC program natively"
+       ~exits:(source_error_info :: Cmd.Exit.defaults))
     Term.(
       const run $ file_arg $ seed_arg $ cores_arg $ io_seed_arg
       $ strategy_arg $ seeds_arg $ trace_out_arg)
@@ -390,7 +417,8 @@ let det_cmd =
     (Cmd.info "det"
        ~doc:
          "Instrument and run under deterministic logical-time arbitration \
-          (same output for every --seed, no logs)")
+          (same output for every --seed, no logs)"
+       ~exits:(source_error_info :: Cmd.Exit.defaults))
     Term.(
       const run $ file_arg $ seed_arg $ cores_arg $ io_seed_arg
       $ profile_runs_arg $ opts_arg $ no_lockopt_arg $ jobs_arg
@@ -483,7 +511,9 @@ let record_cmd =
             "With --segment-dir: gated events per sealed segment (the \
              resident-log-memory bound)")
   in
-  Cmd.v (Cmd.info "record" ~doc:"Instrument and record an execution")
+  Cmd.v
+    (Cmd.info "record" ~doc:"Instrument and record an execution"
+       ~exits:(source_error_info :: Cmd.Exit.defaults))
     Term.(
       const run $ file_arg $ seed_arg $ cores_arg $ io_seed_arg
       $ strategy_arg $ seeds_arg $ profile_runs_arg $ opts_arg
@@ -621,7 +651,7 @@ let replay_cmd =
        ~exits:
          (Cmd.Exit.info corrupt_log_exit
             ~doc:"the recorded logs are truncated or corrupt"
-         :: Cmd.Exit.defaults))
+         :: source_error_info :: Cmd.Exit.defaults))
     Term.(
       const run $ file_arg $ seed_arg $ cores_arg $ io_seed_arg
       $ strategy_arg $ seeds_arg $ profile_runs_arg $ opts_arg
@@ -696,7 +726,8 @@ let trace_cmd =
        ~doc:
          "Record with event tracing, replay under a shifted scheduler \
           seed, print per-lock/per-granularity contention metrics, and \
-          verify the stable event streams match")
+          verify the stable event streams match"
+       ~exits:(source_error_info :: Cmd.Exit.defaults))
     Term.(
       const run $ file_arg $ seed_arg $ cores_arg $ io_seed_arg
       $ profile_runs_arg $ opts_arg $ no_lockopt_arg $ jobs_arg
@@ -893,7 +924,7 @@ let stress_cmd =
           let an =
             Chimera.Pipeline.analyze ~profile_runs:6 ?pool ?cache
               ~cache_log:cli_cache_log
-              (Minic.Parser.parse ~file:path (read_file path))
+              (load path)
           in
           ( {
               sp_name = Filename.basename path;
@@ -1085,7 +1116,7 @@ let stress_cmd =
                 "a $(b,--fault-logs) pair failed to decode, or fault \
                  injection crashed the decoder/replayer (contract \
                  violation)"
-         :: Cmd.Exit.defaults))
+         :: source_error_info :: Cmd.Exit.defaults))
     Term.(
       const run $ benches_arg $ srcs_arg $ raw_arg $ stress_seeds_arg
       $ strategies_arg $ cores_arg $ io_seed_arg $ jobs_arg $ no_cache_arg
@@ -1167,7 +1198,7 @@ let dynrace_cmd =
             ~doc:
               "a dynamic race is not statically covered, or (with \
                $(b,--track-weak)) the instrumented program raced"
-         :: Cmd.Exit.defaults))
+         :: source_error_info :: Cmd.Exit.defaults))
     Term.(
       const run $ file_arg $ seed_arg $ cores_arg $ io_seed_arg
       $ strategy_arg $ seeds_arg $ track_weak_arg $ profile_runs_arg
@@ -1247,7 +1278,7 @@ let refine_cmd =
                   in
                   ( Chimera.Pipeline.analyze ~profile_runs:6 ?pool ?cache
                       ~cache_log:cli_cache_log
-                      (Minic.Parser.parse ~file:path (read_file path)),
+                      (load path),
                     Interp.Iomodel.random ~seed:e.ce_io_seed )
             in
             let digest = Refine.plan_digest an.an_plan in
@@ -1329,7 +1360,7 @@ let refine_cmd =
               "a plan digest mismatch, damaged corpus, or safety-valve \
                violation (an uncovered or reintroduced race, or replay \
                divergence under the refined plan)"
-         :: Cmd.Exit.defaults))
+         :: source_error_info :: Cmd.Exit.defaults))
     Term.(
       const run $ corpus_arg $ min_coverage_arg $ out_dir_arg $ explain_arg
       $ jobs_arg $ no_cache_arg $ cache_dir_arg)

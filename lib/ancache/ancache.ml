@@ -30,7 +30,7 @@ let magic = "CHIMERA-ANCACHE/1"
 (** Bump when the serialized analysis payload changes meaning (new
     analysis semantics, changed types). Part of every cache key, so a
     new tool version simply misses old entries. *)
-let tool_version = "chimera-9"
+let tool_version = "chimera-10"
 
 type t = { dir : string }
 

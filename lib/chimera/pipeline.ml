@@ -93,7 +93,9 @@ let analyze ?(opts = Instrument.Plan.all_opts) ?(profile_runs = 20)
             | an ->
                 log "analysis cache hit (key %s)" key;
                 Some an
-            | exception _ ->
+            (* what [Marshal] raises on a payload that is not a
+               marshalled value: a bad header or a truncated body *)
+            | exception (Failure _ | Invalid_argument _) ->
                 log
                   "warning: analysis cache entry %s undecodable; recomputing"
                   key;

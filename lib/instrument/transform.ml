@@ -88,12 +88,9 @@ let hoist_call ?(tag = fun (s : stmt) -> s) (fx : fctx) (s : stmt)
       List.map
         (fun a ->
           if reads_memory a && not (is_fun_ref fx.fenv a) then begin
-            let ty =
-              try Minic.Typecheck.type_of_exp fx.fenv a with _ -> Tint
-            in
-            match ty with
+            match Minic.Typecheck.type_of_exp fx.fenv a with
             | Tfun _ -> a
-            | _ ->
+            | ty ->
                 let name = fresh_tmp fx ty in
                 pre := Fresh.stmt ~loc (Assign (Var name, a)) :: !pre;
                 Lval (Var name)
@@ -106,17 +103,8 @@ let hoist_call ?(tag = fun (s : stmt) -> s) (fx : fctx) (s : stmt)
   let hoist_ret ret =
     match ret with
     | None -> (None, [])
-    | Some (Var v) when not (addr_reads (Var v)) ->
-        (* writing a plain variable: the write itself is the access; keep
-           it as the hoisted store target *)
-        let ty =
-          try Minic.Typecheck.type_of_lval fx.fenv (Var v) with _ -> Tint
-        in
-        let name = fresh_tmp fx ty in
-        (Some (Var name), [ Fresh.stmt ~loc (Assign (Var v, Lval (Var name))) ])
     | Some lv ->
-        let ty = try Minic.Typecheck.type_of_lval fx.fenv lv with _ -> Tint in
-        let name = fresh_tmp fx ty in
+        let name = fresh_tmp fx (Minic.Typecheck.type_of_lval fx.fenv lv) in
         (Some (Var name), [ Fresh.stmt ~loc (Assign (lv, Lval (Var name))) ])
   in
   match s.skind with
@@ -127,10 +115,7 @@ let hoist_call ?(tag = fun (s : stmt) -> s) (fx : fctx) (s : stmt)
         | Direct f -> (Direct f, pre)
         | ViaPtr e ->
             if reads_memory e then begin
-              let ty =
-                try Minic.Typecheck.type_of_exp fx.fenv e with _ -> Tint
-              in
-              let name = fresh_tmp fx ty in
+              let name = fresh_tmp fx (Minic.Typecheck.type_of_exp fx.fenv e) in
               (ViaPtr (Lval (Var name)),
                pre @ [ Fresh.stmt ~loc (Assign (Var name, e)) ])
             end

@@ -1762,10 +1762,11 @@ let rec bind_params eng blk offs (args : Value.t list) =
   | _ -> ()
 
 (* Static queries of the compiler (an expression's type, a field offset,
-   an element size) fail only on an ill-typed program: one that skipped
-   [Typecheck], or that names an undeclared struct. The failure becomes
-   the message of the [Value.Fault] that [faulting] raises when the
-   program reaches the node. *)
+   an element size) fail only on a program that skipped
+   [Typecheck.check]: a checked one has a type at every lvalue and
+   expression and a size at every lvalue's type (DESIGN §26). The
+   failure becomes the message of the [Value.Fault] that [faulting]
+   raises when the program reaches the node. *)
 let static f =
   match f () with
   | v -> Ok v
@@ -1949,7 +1950,7 @@ and callee eng (fname : string) : callee =
         (fun (v : var_decl) ->
           Hashtbl.replace offsets v.v_name (!off, v.v_ty);
           let size =
-            (* a declaration of an unknown struct *)
+            (* an unchecked program's declaration of an unknown struct *)
             try Layout.sizeof eng.layout v.v_ty
             with Invalid_argument m -> raise (Value.Fault m)
           in

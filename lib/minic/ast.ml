@@ -205,7 +205,11 @@ type fundec = {
   f_loc : loc;
 }
 
-type struct_decl = { s_name : string; s_fields : (string * ty) list }
+type struct_decl = {
+  s_name : string;
+  s_fields : (string * ty) list;
+  s_loc : loc;
+}
 
 type global = {
   g_name : string;

@@ -439,6 +439,7 @@ and parse_block cur locals : block =
 (* Top level *)
 
 let parse_struct_decl cur : struct_decl =
+  let loc = cur_loc cur in
   eat cur Lexer.KW_STRUCT;
   let name = eat_ident cur in
   eat cur Lexer.LBRACE;
@@ -451,7 +452,7 @@ let parse_struct_decl cur : struct_decl =
   done;
   eat cur Lexer.RBRACE;
   eat cur Lexer.SEMI;
-  { s_name = name; s_fields = List.rev !fields }
+  { s_name = name; s_fields = List.rev !fields; s_loc = loc }
 
 let parse_params cur : var_decl list =
   eat cur Lexer.LPAREN;

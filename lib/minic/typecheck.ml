@@ -1,14 +1,22 @@
-(** Type resolution and light checking for MiniC.
+(** Type resolution and checking for MiniC.
 
     Responsibilities:
     - build symbol tables (structs, globals, functions, per-function locals);
     - compute the type of every expression and lvalue (used by the
-      interpreter for pointer-arithmetic scaling and by the analyses for
-      abstract-location resolution);
+      interpreter for index scaling and field offsets, and by the
+      analyses for abstract-location resolution);
     - rewrite direct calls through function-pointer variables into
       [ViaPtr] calls;
-    - reject programs with unbound identifiers, unknown fields, or arity
-      mismatches on direct calls.
+    - reject programs with unbound identifiers, ill-typed lvalues
+      (dereference of a function or a struct, unknown fields),
+      assignments to a function, arity mismatches on direct calls, and
+      structs that have no finite size.
+
+    {!check} is the one gate: in a program it accepts, {!type_of_lval}
+    and {!type_of_exp} succeed at every lvalue and expression of every
+    function (in its {!fun_env}), and [Ast.sizeof] is finite at every
+    declared type and every lvalue's type. The analyses rely on this and
+    carry no fallback of their own.
 
     Checking is deliberately C-flavoured loose about int/pointer mixing in
     arithmetic (the benchmarks use pointer arithmetic, which is also the
@@ -58,8 +66,6 @@ let lookup_var env v : ty option =
           | Some f ->
               Some (Tfun (f.f_ret, List.map (fun p -> p.v_ty) f.f_params))
           | None -> None))
-
-let struct_decls env = List.of_seq (Hashtbl.to_seq_values env.structs)
 
 let rec type_of_lval env (lv : lval) : ty =
   match lv with
@@ -118,44 +124,82 @@ and type_of_exp env (e : exp) : ty =
           | _ -> Tint)
       | _ -> Tint)
 
-(** Element size (in cells) for pointer arithmetic on a value of type [t]. *)
-let elem_size env t =
-  match t with
-  | Tptr u -> sizeof (struct_decls env) u
-  | Tarray (u, _) -> sizeof (struct_decls env) u
-  | _ -> 1
-
 (* ------------------------------------------------------------------ *)
 (* Checking and call rewriting *)
+
+(* the struct a value of type [t] holds by value, through any arrays *)
+let rec value_struct = function
+  | Tstruct s -> Some s
+  | Tarray (t, _) -> value_struct t
+  | Tvoid | Tint | Tptr _ | Tfun _ -> None
+
+(* [t] has a size: a struct it holds by value is declared. Once
+   [check_structs] has passed, [sizeof] is then finite at [t]. *)
+let sized env loc t =
+  match value_struct t with
+  | Some s when not (Hashtbl.mem env.structs s) ->
+      terr loc "struct %s is used by value but never declared" s
+  | _ -> ()
+
+(* Reject a struct declared twice, and a struct that contains itself by
+   value: directly, through another struct or through an array. *)
+let check_structs env =
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun d ->
+      if Hashtbl.mem seen d.s_name then
+        terr d.s_loc "duplicate struct %s" d.s_name;
+      Hashtbl.replace seen d.s_name ())
+    env.prog.p_structs;
+  let finished = Hashtbl.create 16 in
+  (* [path] holds the structs whose fields are being visited *)
+  let rec visit path d =
+    if not (Hashtbl.mem finished d.s_name) then begin
+      List.iter
+        (fun (_, t) ->
+          sized env d.s_loc t;
+          match value_struct t with
+          | Some s when List.mem s path ->
+              terr d.s_loc "struct %s contains itself by value (%s)" s
+                (String.concat " > " (List.rev (s :: path)))
+          | Some s -> visit (s :: path) (Hashtbl.find env.structs s)
+          | None -> ())
+        d.s_fields;
+      Hashtbl.replace finished d.s_name ()
+    end
+  in
+  List.iter (fun d -> visit [ d.s_name ] d) env.prog.p_structs
+
+(* a type error of [f] reported at the statement's [loc] *)
+let at loc f =
+  try f () with Type_error (m, _) -> raise (Type_error (m, loc))
 
 let rec check_exp env loc (e : exp) : unit =
   match e with
   | Const _ -> ()
-  | Lval lv | AddrOf lv -> check_lval env loc lv
+  | Lval lv | AddrOf lv -> ignore (check_lval env loc lv)
   | Unop (_, e) -> check_exp env loc e
   | Binop (_, a, b) -> check_exp env loc a; check_exp env loc b
 
-and check_lval env loc (lv : lval) : unit =
-  match lv with
-  | Var v ->
-      if lookup_var env v = None then terr loc "unbound variable %s" v
-  | Deref e -> check_exp env loc e
-  | Index (b, e) ->
-      check_lval env loc b;
-      check_exp env loc e;
-      (match type_of_lval env b with
-      | Tarray _ | Tptr _ -> ()
-      | t -> terr loc "indexing non-array of type %a" pp_ty t)
-  | Field (b, f) -> (
-      check_lval env loc b;
-      match type_of_lval env b with
-      | Tstruct s -> ignore (field_ty env s f)
-      | t -> terr loc "field access on %a" pp_ty t)
-  | Arrow (e, f) -> (
-      check_exp env loc e;
-      match type_of_exp env e with
-      | Tptr (Tstruct s) -> ignore (field_ty env s f)
-      | t -> terr loc "-> on %a" pp_ty t)
+(* every subterm, then the lvalue itself, whose type it returns:
+   [type_of_exp] does not type the operands of a comparison, so the
+   recursion is what reaches them *)
+and check_lval env loc (lv : lval) : ty =
+  (match lv with
+  | Var _ -> ()
+  | Deref e | Arrow (e, _) -> check_exp env loc e
+  | Index (b, e) -> ignore (check_lval env loc b); check_exp env loc e
+  | Field (b, _) -> ignore (check_lval env loc b));
+  let t = at loc (fun () -> type_of_lval env lv) in
+  sized env loc t;
+  t
+
+(* the target of an assignment or a call's result: a function is no
+   storage *)
+let check_target env loc lv =
+  match check_lval env loc lv with
+  | Tfun _ as t -> terr loc "assignment to a function of type %a" pp_ty t
+  | _ -> ()
 
 let builtin_arity = function
   | Spawn -> (2, true) | Join -> (1, false)
@@ -172,9 +216,9 @@ let check_stmt env (s : stmt) : stmt =
   let skind =
     match s.skind with
     | Assign (lv, e) ->
-        check_lval env loc lv; check_exp env loc e; s.skind
+        check_target env loc lv; check_exp env loc e; s.skind
     | Call (ret, Direct f, args) -> (
-        Option.iter (check_lval env loc) ret;
+        Option.iter (check_target env loc) ret;
         List.iter (check_exp env loc) args;
         match Hashtbl.find_opt env.funs f with
         | Some fd ->
@@ -190,12 +234,12 @@ let check_stmt env (s : stmt) : stmt =
                 terr loc "call of %s which has non-function type %a" f pp_ty t
             | None -> terr loc "call to undefined function %s" f))
     | Call (ret, ViaPtr e, args) ->
-        Option.iter (check_lval env loc) ret;
+        Option.iter (check_target env loc) ret;
         check_exp env loc e;
         List.iter (check_exp env loc) args;
         s.skind
     | Builtin (ret, b, args) ->
-        Option.iter (check_lval env loc) ret;
+        Option.iter (check_target env loc) ret;
         List.iter (check_exp env loc) args;
         let arity, has_ret = builtin_arity b in
         if List.length args <> arity then
@@ -241,6 +285,8 @@ let check (p : program) : program =
     p.p_globals;
   if not (Hashtbl.mem base.funs "main") then
     terr dummy_loc "program has no main function";
+  check_structs base;
+  List.iter (fun (g : global) -> sized base g.g_loc g.g_ty) p.p_globals;
   let funs =
     List.map
       (fun f ->
@@ -251,7 +297,8 @@ let check (p : program) : program =
           (fun v ->
             if Hashtbl.mem lseen v.v_name then
               terr v.v_loc "duplicate local %s in %s" v.v_name f.f_name;
-            Hashtbl.replace lseen v.v_name ())
+            Hashtbl.replace lseen v.v_name ();
+            sized env v.v_loc v.v_ty)
           (f.f_params @ f.f_locals);
         { f with f_body = map_stmts (check_stmt env) f.f_body })
       p.p_funs

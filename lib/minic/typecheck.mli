@@ -1,9 +1,10 @@
-(** Type resolution and light checking for MiniC: builds symbol tables,
-    types every expression (needed by the interpreter for
-    pointer-arithmetic scaling and by the analyses for object
-    resolution), rewrites direct calls through function-pointer
-    variables into [ViaPtr], and rejects unbound names / bad arities /
-    duplicate definitions / missing [main]. *)
+(** Type resolution and checking for MiniC: builds symbol tables,
+    types every expression (needed by the interpreter for index scaling
+    and by the analyses for object resolution), rewrites direct calls
+    through function-pointer variables into [ViaPtr], and rejects
+    unbound names, ill-typed lvalues, assignments to a function, bad
+    arities, duplicate definitions, a missing [main], and structs
+    without a finite size. *)
 
 open Ast
 
@@ -27,10 +28,11 @@ val lookup_var : env -> string -> ty option
 val type_of_lval : env -> lval -> ty
 val type_of_exp : env -> exp -> ty
 
-(** Element size in cells for indexing through a value of this type. *)
-val elem_size : env -> ty -> int
-
-(** Check and rewrite a program. Raises {!Type_error}. *)
+(** Check and rewrite a program. Raises {!Type_error}. In a program it
+    returns, {!type_of_lval} and {!type_of_exp} succeed at every lvalue
+    and expression of every function (in its {!fun_env}), and
+    [Ast.sizeof] is finite at every declared type and at every lvalue's
+    type. *)
 val check : program -> program
 
 (** [parse_and_check src] — the front-end entry point. *)

@@ -65,43 +65,29 @@ and points_to (t : t) (l : A.t) : A.Set.t =
   A.Set.filter (fun l -> A.is_memory l || match l with A.AFun _ -> true | _ -> false) s
 
 and var_loc (t : t) (fname : string) (v : string) : A.t =
-  let is_local =
-    match Minic.Ast.find_fun t.prog fname with
-    | Some f ->
-        List.exists (fun d -> d.v_name = v) f.f_params
-        || List.exists (fun d -> d.v_name = v) f.f_locals
-    | None -> false
-  in
-  if is_local then A.ALocal (fname, v)
-  else if Minic.Ast.find_fun t.prog v <> None then A.AFun v
-  else A.AGlobal v
+  Constr.var_loc t.prog fname v
+
+(* the values read from the objects [objs]: their points-to sets *)
+and contents (t : t) (objs : A.Set.t) : A.Set.t =
+  A.Set.fold (fun o acc -> A.Set.union (points_to t o) acc) objs A.Set.empty
+
+(* the typing environment of function [fname]'s body *)
+and fun_env (t : t) (fname : string) : Minic.Typecheck.env =
+  Minic.Typecheck.fun_env t.tenv (Hashtbl.find t.tenv.funs fname)
 
 (** Objects that reading/writing lvalue [lv] (evaluated in [fname]) may
     touch. *)
 and lval_objects (t : t) (fname : string) (lv : lval) : A.Set.t =
-  let fenv =
-    match Minic.Ast.find_fun t.prog fname with
-    | Some f -> Minic.Typecheck.fun_env t.tenv f
-    | None -> t.tenv
-  in
+  let fenv = fun_env t fname in
   let rec go lv =
     match lv with
     | Var v -> A.Set.singleton (var_loc t fname v)
     | Deref e -> ptr_values e
-    | Index (base, _) -> (
-        let base_is_array =
-          try
-            match Minic.Typecheck.type_of_lval fenv base with
-            | Tarray _ -> true
-            | _ -> false
-          with _ -> false
-        in
-        if base_is_array then go base
+    | Index (base, _) ->
+        if Constr.decays fenv base then go base
         else
           (* p[i] = *(p+i): the contents of p *)
-          A.Set.fold
-            (fun o acc -> A.Set.union (points_to t o) acc)
-            (go base) A.Set.empty)
+          contents t (go base)
     | Field (base, _) -> go base
     | Arrow (e, _) -> ptr_values e
   and ptr_values (e : exp) : A.Set.t =
@@ -109,18 +95,7 @@ and lval_objects (t : t) (fname : string) (lv : lval) : A.Set.t =
     | Const _ -> A.Set.empty
     | AddrOf lv -> go lv
     | Lval lv ->
-        let is_array =
-          try
-            match Minic.Typecheck.type_of_lval fenv lv with
-            | Tarray _ -> true
-            | _ -> false
-          with _ -> false
-        in
-        if is_array then go lv
-        else
-          A.Set.fold
-            (fun o acc -> A.Set.union (points_to t o) acc)
-            (go lv) A.Set.empty
+        if Constr.decays fenv lv then go lv else contents t (go lv)
     | Unop (_, e) -> ptr_values e
     | Binop (_, a, b) -> A.Set.union (ptr_values a) (ptr_values b)
   in
@@ -131,20 +106,10 @@ and lval_objects (t : t) (fname : string) (lv : lval) : A.Set.t =
 and exp_objects (t : t) (fname : string) (e : exp) : A.Set.t =
   match e with
   | AddrOf lv -> lval_objects t fname lv
-  | Lval lv -> (
-      (* arrays decay: the expression's value is the object's address *)
-      let fenv =
-        match Minic.Ast.find_fun t.prog fname with
-        | Some f -> Minic.Typecheck.fun_env t.tenv f
-        | None -> t.tenv
-      in
-      match
-        (try Minic.Typecheck.type_of_lval fenv lv with _ -> Tint)
-      with
-      | Tarray _ -> lval_objects t fname lv
-      | _ ->
-          let objs = lval_objects t fname lv in
-          A.Set.fold (fun o acc -> A.Set.union (points_to t o) acc) objs A.Set.empty)
+  | Lval lv ->
+      (* a decaying lvalue's value is the object's address *)
+      if Constr.decays (fun_env t fname) lv then lval_objects t fname lv
+      else contents t (lval_objects t fname lv)
   | Unop (_, e) -> exp_objects t fname e
   | Binop (_, a, b) -> A.Set.union (exp_objects t fname a) (exp_objects t fname b)
   | Const _ -> A.Set.empty
@@ -162,11 +127,7 @@ and resolve_funptr (t : t) (fname : string) (e : exp) : string list =
   | None ->
       let vals =
         match e with
-        | Lval lv ->
-            let objs = lval_objects t fname lv in
-            A.Set.fold
-              (fun o acc -> A.Set.union (points_to t o) acc)
-              objs A.Set.empty
+        | Lval lv -> contents t (lval_objects t fname lv)
         | _ -> exp_objects t fname e
       in
       A.Set.fold

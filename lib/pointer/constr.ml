@@ -45,17 +45,26 @@ let emit g c = g.acc <- c :: g.acc
 
 (** The abstract location for variable [v] as seen from function [fname]:
     a local/param of the function, a global, or a function constant. *)
-let var_loc g fname v : A.t =
+let var_loc (prog : program) fname v : A.t =
   let is_local =
-    match Minic.Ast.find_fun g.prog fname with
+    match Minic.Ast.find_fun prog fname with
     | Some f ->
         List.exists (fun d -> d.v_name = v) f.f_params
         || List.exists (fun d -> d.v_name = v) f.f_locals
     | None -> false
   in
   if is_local then A.ALocal (fname, v)
-  else if Minic.Ast.find_fun g.prog v <> None then A.AFun v
+  else if Minic.Ast.find_fun prog v <> None then A.AFun v
   else A.AGlobal v
+
+(** Whether lvalue [lv], typed in [tenv] (its function's environment),
+    names an array or a function. Such an lvalue stands for its own
+    address in expression position, not for its contents, and [lv\[i\]]
+    stays within it. {!Minic.Typecheck.check} guarantees the type. *)
+let decays tenv lv =
+  match Minic.Typecheck.type_of_lval tenv lv with
+  | Tarray _ | Tfun _ -> true
+  | Tvoid | Tint | Tptr _ | Tstruct _ -> false
 
 (** Where an lvalue lives: the object itself, or the objects designated by
     a pointer temporary. *)
@@ -67,16 +76,8 @@ let rec trans_exp g fname (e : exp) (dst : A.t) : unit =
   match e with
   | Const _ -> ()
   | Lval lv -> (
-      (* reading the lvalue's contents — unless the lvalue is an array
-         (decays to the object's address) or a function name (a constant
-         address) *)
-      let decays =
-        try
-          match Minic.Typecheck.type_of_lval g.tenv lv with
-          | Tarray _ | Tfun _ -> true
-          | _ -> false
-        with _ -> false
-      in
+      (* reading the lvalue's contents, unless it decays *)
+      let decays = decays g.tenv lv in
       match place_of_lval g fname lv with
       | PDirect a -> if decays then emit g (Addr (dst, a)) else emit g (Copy (dst, a))
       | PDeref t -> if decays then emit g (Copy (dst, t)) else emit g (Load (dst, t)))
@@ -92,7 +93,7 @@ let rec trans_exp g fname (e : exp) (dst : A.t) : unit =
 
 and place_of_lval g fname (lv : lval) : place =
   match lv with
-  | Var v -> PDirect (var_loc g fname v)
+  | Var v -> PDirect (var_loc g.prog fname v)
   | Deref e ->
       let t = fresh g in
       trans_exp g fname e t;
@@ -100,14 +101,7 @@ and place_of_lval g fname (lv : lval) : place =
   | Index (base, _) -> (
       (* a[i] stays within object a when a is an array; p[i] dereferences
          p when p is a pointer *)
-      let base_is_array =
-        try
-          match Minic.Typecheck.type_of_lval g.tenv base with
-          | Tarray _ -> true
-          | _ -> false
-        with _ -> true
-      in
-      if base_is_array then place_of_lval g fname base
+      if decays g.tenv base then place_of_lval g fname base
       else
         match place_of_lval g fname base with
         | PDirect p ->

@@ -15,6 +15,19 @@ type t =
 
 val pp : t Fmt.t
 
+(** The abstract location of variable [v] as seen from function [fname]
+    ([var_loc prog fname v]): a local or parameter of the function, a
+    global, or a function constant. *)
+val var_loc : Minic.Ast.program -> string -> string -> Absloc.t
+
+(** Whether the lvalue, typed in its function's environment, names an
+    array or a function: in expression position it stands for its own
+    address, and indexing it stays within it. Both halves of the
+    analysis (constraint generation and {!Analysis}'s queries) ask this
+    one question. The program must have passed
+    {!Minic.Typecheck.check}. *)
+val decays : Minic.Typecheck.env -> Minic.Ast.lval -> bool
+
 (** Synthetic location holding a function's return value. *)
 val ret_loc : string -> Absloc.t
 

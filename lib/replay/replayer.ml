@@ -24,10 +24,14 @@
     drains segments in order: a thread whose next event is not in the
     current segment blocks until the segment drains, and the
     "beyond-the-log: unconstrained" escape applies only on the {e last}
-    segment. Draining segment [k] first is always feasible for the same
-    reason — nothing recorded in [k] can depend on an event recorded
-    after the seal. {!of_log} is the one-segment special case and
-    behaves exactly as the historical monolithic replayer. *)
+    segment. Draining segment [k] first is {e not} always feasible:
+    events keyed by a thread's [(steps, weak_acqs)] can straddle a seal,
+    so a thread steps past a key whose event sits in the next segment,
+    and some seeds deadlock or drift. ROADMAP.md's
+    streamed-replay item tabulates the failing seeds and the per-thread
+    fence that would make a seal a consistent cut. {!of_log} is the
+    one-segment special case and behaves exactly as the historical
+    monolithic replayer. *)
 
 open Runtime
 

@@ -219,11 +219,9 @@ and decompose_ptr_exp ctx (e : exp) : exp * Linexp.t =
   | _ -> raise (Bail Non_affine)
 
 and exp_is_pointer ctx (e : exp) : bool =
-  try
-    match Minic.Typecheck.type_of_exp ctx.fenv e with
-    | Tptr _ | Tarray _ -> true
-    | _ -> false
-  with _ -> false
+  match Minic.Typecheck.type_of_exp ctx.fenv e with
+  | Tptr _ | Tarray _ -> true
+  | Tvoid | Tint | Tstruct _ | Tfun _ -> false
 
 (* ------------------------------------------------------------------ *)
 

@@ -250,6 +250,35 @@ let test_bad_file () =
   let code, _, _ = run_cli exe [ "races"; "/nonexistent/no-such.mc" ] in
   Alcotest.(check bool) "missing file is an error" true (code <> 0)
 
+(* A source that does not lex, parse or typecheck exits with the typed
+   status 4 and one FILE:LINE: line on stderr, under each subcommand that
+   loads it; before, each escaped as cmdliner's uncaught exception (125) *)
+let test_source_errors () =
+  with_exe @@ fun exe ->
+  List.iter
+    (fun (what, src, line, msg) ->
+      let mc = Filename.temp_file "chimera_cli" ".mc" in
+      Out_channel.with_open_bin mc (fun oc -> output_string oc src);
+      Fun.protect ~finally:(fun () -> Sys.remove mc) @@ fun () ->
+      List.iter
+        (fun cmd ->
+          let code, out, err = run_cli exe [ cmd; mc ] in
+          Alcotest.(check int) (Fmt.str "%s: %s exit code" what cmd) 4 code;
+          Alcotest.(check string) (Fmt.str "%s: %s stdout" what cmd) "" out;
+          Alcotest.(check string)
+            (Fmt.str "%s: %s stderr" what cmd)
+            (Fmt.str "%s:%d: %s\n" mc line msg)
+            err)
+        [ "races"; "run"; "record" ])
+    [
+      ( "lex error", "int x;\nint main() { x = 1 @ 2; return 0; }\n", 2,
+        "unexpected character '@'" );
+      ("parse error", "int x x;\nint main() { return 0; }\n", 1,
+       "expected ; but found x");
+      ( "type error", "int x;\nint main() {\n  x = y; output(x); return 0; }\n",
+        3, "unbound variable y in main" );
+    ]
+
 let test_cache_subcommand () =
   with_exe @@ fun exe ->
   with_src @@ fun mc ->
@@ -442,6 +471,8 @@ let suite =
     Alcotest.test_case "replay rejects corrupt log" `Quick
       test_replay_corrupt_log;
     Alcotest.test_case "bad input file" `Quick test_bad_file;
+    Alcotest.test_case "lex, parse and type errors exit 4 with FILE:LINE"
+      `Quick test_source_errors;
     Alcotest.test_case "cache subcommand + damaged-entry fallback" `Quick
       test_cache_subcommand;
     Alcotest.test_case "-j N output identical to -j 1" `Quick

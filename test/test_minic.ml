@@ -190,6 +190,155 @@ let test_typecheck_types () =
   Alcotest.(check int) "field offset b" 1
     (fst (Ast.field_offset p.p_structs "s" "b"))
 
+(* [check] is the one gate the analyses rely on. Before it typed each
+   lvalue itself, [*f] (a function) and [*s] (a struct) passed and the
+   pointer analysis made up a type for them; a struct that contains
+   itself by value passed, and [sizeof] then recursed without end; an
+   assignment to a function passed and faulted at run time. *)
+let rejects name ~line src =
+  match parse src with
+  | exception Typecheck.Type_error (_, loc) ->
+      Alcotest.(check int) (name ^ ": error line") line loc.line
+  | _ -> Alcotest.failf "%s: accepted" name
+
+let test_typecheck_rejects_ill_typed () =
+  rejects "*f of a function" ~line:3
+    "int x;\nint f() { return 1; }\n\
+     int main() { x = *f; output(x); return 0; }";
+  rejects "*s of a struct" ~line:4
+    "struct S { int a; };\nstruct S s;\nint x;\n\
+     int main() { x = *s; output(x); return 0; }";
+  rejects "struct that contains itself" ~line:1
+    "struct S { int a; struct S s; };\nstruct S g;\n\
+     int main() { output(1); return 0; }";
+  rejects "structs that contain each other" ~line:2
+    "struct A { int a; struct B b; };\nstruct B { int c; struct A a; };\n\
+     int main() { output(1); return 0; }";
+  rejects "array of the struct inside itself" ~line:1
+    "struct S { int a; struct S arr[2]; };\n\
+     int main() { output(1); return 0; }";
+  rejects "by-value undeclared struct" ~line:1
+    "struct nosuch s;\nint main() { output(1); return 0; }";
+  rejects "by-value undeclared struct local" ~line:2
+    "int main() {\n  struct nosuch s; output(1); return 0; }";
+  rejects "assignment to a function" ~line:3
+    "int f() { return 1; }\nint main() {\n  f = 3; output(1); return 0; }"
+
+let test_typecheck_accepts_loose () =
+  let accepts name src =
+    match parse src with
+    | _ -> ()
+    | exception Typecheck.Type_error (m, _) ->
+        Alcotest.failf "%s: rejected (%s)" name m
+  in
+  accepts "*i on an int"
+    "int i; int x;\n\
+     int main() { i = 0; x = 1; if (x == 0) { x = *i; } output(x); return 0; }";
+  accepts "pointer to an undeclared struct"
+    "struct nosuch *p;\nint main() { p = 0; output(1); return 0; }";
+  accepts "break and continue inside a callee"
+    "int f(int i) { if (i == 1) { continue; } if (i == 3) { break; }\n\
+    \  output(i); return i; }\n\
+     int main() { int i; for (i = 0; i < 10; i++) { f(i); } output(99);\n\
+    \  return 0; }"
+
+(* The invariant the analyses rely on instead of fallbacks: in a checked
+   program every lvalue and expression of every function has a type in
+   that function's environment, and every declared type and every
+   lvalue's type has a size. Raises on a violation. *)
+let typed_everywhere (p : Ast.program) =
+  let env = Typecheck.env_of_program p in
+  let size t = ignore (Ast.sizeof p.p_structs t) in
+  List.iter (fun (g : Ast.global) -> size g.g_ty) p.p_globals;
+  List.iter
+    (fun (d : Ast.struct_decl) -> List.iter (fun (_, t) -> size t) d.s_fields)
+    p.p_structs;
+  List.iter
+    (fun (f : Ast.fundec) ->
+      let fenv = Typecheck.fun_env env f in
+      List.iter
+        (fun (v : Ast.var_decl) -> size v.v_ty)
+        (f.f_params @ f.f_locals);
+      let rec exp (e : Ast.exp) =
+        ignore (Typecheck.type_of_exp fenv e);
+        match e with
+        | Const _ -> ()
+        | Lval lv | AddrOf lv -> lval lv
+        | Unop (_, e) -> exp e
+        | Binop (_, a, b) -> exp a; exp b
+      and lval (lv : Ast.lval) =
+        size (Typecheck.type_of_lval fenv lv);
+        match lv with
+        | Var _ -> ()
+        | Deref e | Arrow (e, _) -> exp e
+        | Index (b, e) -> lval b; exp e
+        | Field (b, _) -> lval b
+      in
+      Ast.iter_stmts
+        (fun (s : Ast.stmt) ->
+          match s.skind with
+          | Assign (lv, e) -> lval lv; exp e
+          | Call (ret, tgt, args) ->
+              Option.iter lval ret;
+              (match tgt with ViaPtr e -> exp e | Direct _ -> ());
+              List.iter exp args
+          | Builtin (ret, _, args) -> Option.iter lval ret; List.iter exp args
+          | If (c, _, _) | While (c, _, _) | Return (Some c) -> exp c
+          | Return None | Break | Continue | WeakEnter _ | WeakExit _ -> ())
+        f.f_body)
+    p.p_funs
+
+let prop_typed_everywhere =
+  QCheck.Test.make ~name:"typecheck: generated programs are typed everywhere"
+    ~count:100
+    (QCheck.oneof [ Proggen.arbitrary_program; Proggen.arbitrary_contended ])
+    (fun src ->
+      typed_everywhere (parse src);
+      true)
+
+(* the MiniC source literal {|...|} of each examples/*.ml that has one *)
+let example_sources () =
+  let dir =
+    List.find_opt Sys.file_exists
+      [ Filename.concat Filename.parent_dir_name "examples"; "examples" ]
+  in
+  let literal s =
+    (* the index of [sub] in [s] at or after [from] *)
+    let find sub from =
+      let n = String.length sub in
+      let rec go i =
+        if i + n > String.length s then None
+        else if String.sub s i n = sub then Some i
+        else go (i + 1)
+      in
+      go from
+    in
+    match find "{|" 0 with
+    | None -> None
+    | Some i ->
+        Option.map
+          (fun j -> String.sub s (i + 2) (j - i - 2))
+          (find "|}" (i + 2))
+  in
+  match dir with
+  | None -> Alcotest.fail "examples/ not found"
+  | Some dir ->
+      Sys.readdir dir |> Array.to_list |> List.sort compare
+      |> List.filter (fun f -> Filename.check_suffix f ".ml")
+      |> List.filter_map (fun f ->
+             literal
+               (In_channel.with_open_bin (Filename.concat dir f)
+                  In_channel.input_all))
+
+let test_typed_everywhere_benches_examples () =
+  List.iter
+    (fun (b : Bench_progs.Registry.bench) ->
+      typed_everywhere (parse (b.b_source ~workers:4 ~scale:b.b_eval_scale)))
+    Bench_progs.Registry.all;
+  let examples = example_sources () in
+  Alcotest.(check int) "example sources" 3 (List.length examples);
+  List.iter (fun src -> typed_everywhere (parse src)) examples
+
 (* ------------------------------------------------------------------ *)
 (* CFG *)
 
@@ -336,6 +485,13 @@ let suite =
     Alcotest.test_case "typecheck: missing main" `Quick test_typecheck_rejects_missing_main;
     Alcotest.test_case "typecheck: unknown field" `Quick test_typecheck_rejects_unknown_field;
     Alcotest.test_case "typecheck: types" `Quick test_typecheck_types;
+    Alcotest.test_case "typecheck: rejects ill-typed lvalues and structs" `Quick
+      test_typecheck_rejects_ill_typed;
+    Alcotest.test_case "typecheck: accepts the loose cases" `Quick
+      test_typecheck_accepts_loose;
+    Alcotest.test_case "typecheck: benches and examples typed everywhere"
+      `Quick test_typed_everywhere_benches_examples;
+    QCheck_alcotest.to_alcotest ~rand:(Test_fuzz.rand ()) prop_typed_everywhere;
     Alcotest.test_case "cfg: linear" `Quick test_cfg_linear;
     Alcotest.test_case "cfg: loop detection" `Quick test_cfg_loop_detected;
     Alcotest.test_case "cfg: nested loops" `Quick test_cfg_nested_loops;
