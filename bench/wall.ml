@@ -37,6 +37,7 @@
       "benches": [
         { "name": "aget", "scale": 256,
           "record_ticks": 123456, "steps": 45678,
+          "steps_inline": 20000, "steps_ahead": 15000,
           "minor_words_per_step": 6.5,
           "replay_sched_iters": 13360, "replay_turn_checks": 263,
           "phases": {
@@ -106,6 +107,10 @@ type row = {
   w_scale : int;
   w_record_ticks : int;  (** simulated ticks of the recorded run (rep 1) *)
   w_steps : int;  (** simulated steps of that run, over all threads *)
+  w_steps_inline : int;  (** of those, steps taken in place *)
+  w_steps_ahead : int;
+      (** of those, steps a thread ran past ahead that the scheduler
+          paid without resuming its fiber *)
   w_words_per_step : float;
       (** minor-heap words [Runner.record] allocated per step in that run:
           exact and repeatable in a single-domain run *)
@@ -143,6 +148,7 @@ let measure_wall ?(workers = 4) ?(cores = 4) ?pool ~reps
   let analyze_s = ref [] and instr_s = ref [] in
   let record_s = ref [] and replay_s = ref [] in
   let record_ticks = ref 0 and steps = ref 0 and words = ref 0. in
+  let steps_inline = ref 0 and steps_ahead = ref 0 in
   let replay_iters = ref 0 and turn_checks = ref 0 in
   let stage_total : (string, float) Hashtbl.t = Hashtbl.create 8 in
   let stage_sink name dt =
@@ -183,6 +189,8 @@ let measure_wall ?(workers = 4) ?(cores = 4) ?pool ~reps
       let o = r.Chimera.Runner.rc_outcome in
       record_ticks := o.Interp.Engine.o_ticks;
       steps := List.fold_left (fun n (_, s) -> n + s) 0 o.Interp.Engine.o_steps;
+      steps_inline := o.o_stats.n_steps_inline;
+      steps_ahead := o.o_stats.n_steps_ahead;
       words := w_rec;
       replay_iters := rp.Interp.Engine.o_stats.n_sched_iters;
       turn_checks := rp.Interp.Engine.o_stats.n_turn_checks
@@ -239,6 +247,8 @@ let measure_wall ?(workers = 4) ?(cores = 4) ?pool ~reps
     w_scale = scale;
     w_record_ticks = !record_ticks;
     w_steps = !steps;
+    w_steps_inline = !steps_inline;
+    w_steps_ahead = !steps_ahead;
     w_words_per_step = !words /. float_of_int (max 1 !steps);
     w_replay_sched_iters = !replay_iters;
     w_replay_turn_checks = !turn_checks;
@@ -267,6 +277,7 @@ let row_json (r : row) : Bjson.t =
     [
       ("name", Str r.w_name); ("scale", int r.w_scale);
       ("record_ticks", int r.w_record_ticks); ("steps", int r.w_steps);
+      ("steps_inline", int r.w_steps_inline); ("steps_ahead", int r.w_steps_ahead);
       ("minor_words_per_step", Num r.w_words_per_step);
       ("replay_sched_iters", int r.w_replay_sched_iters);
       ("replay_turn_checks", int r.w_replay_turn_checks);

@@ -375,6 +375,14 @@ type t = {
   mutable n_busy : int;  (** non-empty queues *)
   quanta : int array;
   globals : (string, int) Hashtbl.t;  (** global name -> block id *)
+  fixed : (string, unit) Hashtbl.t;
+      (** scalar globals no statement writes and no expression takes the
+          address of ([fixed_globals]): each holds its initializer for
+          the whole run *)
+  global_fault : string option;
+      (** why a global could not be laid out (an unchecked program's
+          global of an unknown struct): the main thread faults with it
+          before it calls [main] *)
   recorder : Replay.Recorder.t option;
   replayer : Replay.Replayer.t option;
   sink : Trace.Sink.t option;
@@ -809,16 +817,17 @@ let step_in_place eng (th : thread) =
 
    A thread that cannot step in place may do a cost-1 step's handler
    bookkeeping itself and keep running, when what follows touches only
-   scalar locals of a frame no pointer can reach ([step_priv]). Each
-   further cost-1 scheduling point it passes is banked: [ahead], the
-   resumptions the scheduler owes it, grows by one. Before anything
-   another thread, the scheduler, the recorder or a hook could observe,
-   the thread parks, [Runnable]. The scheduler then pays each owed
-   resumption at the tick the per-tick path would resume the thread:
-   the segment's statement and memory-op counts and deferred hook
-   events, and the handler's step bookkeeping ([resume_thread]); the
-   last one resumes the fiber. So every counter, event and state
-   outside the frame changes at the per-tick path's tick. *)
+   cells of a frame no pointer can reach and globals no statement
+   writes ([step_priv]). Each further cost-1 scheduling point it passes
+   is banked: [ahead], the resumptions the scheduler owes it, grows by
+   one. Before anything another thread, the scheduler, the recorder or
+   a hook could observe, the thread parks, [Runnable]. The scheduler
+   then pays each owed resumption at the tick the per-tick path would
+   resume the thread: the segment's statement and memory-op counts and
+   deferred hook events, and the handler's step bookkeeping
+   ([resume_thread]); the last one resumes the fiber. So every counter,
+   event and state outside the frame changes at the per-tick path's
+   tick. *)
 
 let ahead_cap = 64
 
@@ -1584,9 +1593,10 @@ let step_priv_out eng (th : thread) cost =
   end
 
 (* A scheduling point of cost [cost] whose rest, up to the next one,
-   reads and writes only scalar locals of a frame no pointer can reach
-   ([private_frame]). Ahead, it is banked; otherwise it is taken in
-   place when [step] would. *)
+   reads and writes only cells of a frame no pointer can reach
+   ([private_frame]) and reads only fixed globals ([fixed_globals]).
+   Ahead, it is banked; otherwise it is taken in place when [step]
+   would. *)
 let[@inline] step_priv eng (th : thread) cost =
   if th.ahead > 0 then bank eng th
   else if
@@ -1790,66 +1800,163 @@ let rec run_all cs (th : thread) =
       c th;
       run_all rest th
 
+(* the variable an lvalue names cells of, unless it goes through a
+   pointer *)
+let rec root = function
+  | Var v -> Some v
+  | Index (lv, _) | Field (lv, _) -> root lv
+  | Deref _ | Arrow _ -> None
+
+(* the store target of a statement *)
+let stmt_target (s : stmt) =
+  match s.skind with
+  | Assign (lv, _) | Call (Some lv, _, _) | Builtin (Some lv, _, _) -> Some lv
+  | _ -> None
+
+(* [f arr e] at each expression [e] a statement evaluates, its store
+   target as [Lval] first, where [arr] tells whether [e] may hold the
+   address of an array local (DESIGN.md §25): an argument of
+   [file_read] or [net_read], which the builtin writes only after a
+   thread that is ahead has parked and keeps no copy of, and a weak
+   range bound, which only names a claim. *)
+let iter_stmt_exps f (s : stmt) =
+  Option.iter (fun lv -> f false (Lval lv)) (stmt_target s);
+  match s.skind with
+  | Assign (_, e) | If (e, _, _) | While (e, _, _) | Return (Some e) ->
+      f false e
+  | Call (_, tgt, args) ->
+      (match tgt with Direct _ -> () | ViaPtr e -> f false e);
+      List.iter (f false) args
+  | Builtin (_, b, args) -> List.iter (f (b = FileRead || b = NetRead)) args
+  | Return None | Break | Continue | WeakExit _ -> ()
+  | WeakEnter acqs ->
+      List.iter
+        (fun a ->
+          List.iter
+            (fun r ->
+              f true r.wr_lo;
+              f true r.wr_hi)
+            a.wa_ranges)
+        acqs
+
+(* an array a private frame may hold: of ints or of pointers *)
+let flat_array = function Tarray ((Tint | Tptr _), _) -> true | _ -> false
+
+(* [f] at every subexpression of [e], the operands of its lvalues
+   included *)
+let rec iter_exp f e =
+  f e;
+  match e with
+  | Const _ -> ()
+  | Lval lv | AddrOf lv -> iter_lval f lv
+  | Unop (_, a) -> iter_exp f a
+  | Binop (_, a, b) ->
+      iter_exp f a;
+      iter_exp f b
+
+and iter_lval f = function
+  | Var _ -> ()
+  | Deref e | Arrow (e, _) -> iter_exp f e
+  | Index (lv, e) ->
+      iter_lval f lv;
+      iter_exp f e
+  | Field (lv, _) -> iter_lval f lv
+
 (* Whether no pointer can reach a frame of [fd], so that only its own
-   thread reads or writes its cells: no parameter or local is an array
-   or a struct, and no local's address is taken ([offsets] holds the
-   frame's names). *)
+   thread reads or writes its cells ([offsets] holds the frame's names):
+   no parameter or local is a struct or an array of structs or arrays,
+   no scalar local's address is taken, and an array local's address
+   appears only where [iter_stmt_exps] allows it. *)
 let private_frame offsets (fd : fundec) =
-  let rec root = function
-    | Var v -> Some v
-    | Index (lv, _) | Field (lv, _) -> root lv
-    | Deref _ | Arrow _ -> None
+  let decls = fd.f_params @ fd.f_locals in
+  let arrays =
+    List.filter_map
+      (fun (v : var_decl) ->
+        match v.v_ty with Tarray _ -> Some v.v_name | _ -> None)
+      decls
   in
-  let rec exp_ok = function
-    | Const _ -> true
-    | Lval lv -> lval_ok lv
-    | AddrOf lv ->
-        (match root lv with
-        | Some v -> not (Hashtbl.mem offsets v)
-        | None -> true)
-        && lval_ok lv
-    | Unop (_, e) -> exp_ok e
-    | Binop (_, a, b) -> exp_ok a && exp_ok b
-  and lval_ok = function
-    | Var _ -> true
-    | Deref e | Arrow (e, _) -> exp_ok e
-    | Index (lv, e) -> lval_ok lv && exp_ok e
-    | Field (lv, _) -> lval_ok lv
+  let array v = arrays <> [] && List.mem v arrays in
+  let escapes arr = function
+    | Lval (Var v) -> (not arr) && array v
+    | AddrOf lv -> (
+        match root lv with
+        | Some v when Hashtbl.mem offsets v -> not (arr && array v)
+        | Some _ | None -> false)
+    | Const _ | Lval _ | Unop _ | Binop _ -> false
   in
-  let stmt_ok (s : stmt) =
-    match s.skind with
-    | Assign (lv, e) -> lval_ok lv && exp_ok e
-    | Call (ret, tgt, args) ->
-        Option.fold ~none:true ~some:lval_ok ret
-        && (match tgt with Direct _ -> true | ViaPtr e -> exp_ok e)
-        && List.for_all exp_ok args
-    | Builtin (ret, _, args) ->
-        Option.fold ~none:true ~some:lval_ok ret && List.for_all exp_ok args
-    | If (e, _, _) | While (e, _, _) -> exp_ok e
-    | Return e -> Option.fold ~none:true ~some:exp_ok e
-    | Break | Continue | WeakExit _ -> true
-    | WeakEnter acqs ->
-        List.for_all
-          (fun a ->
-            List.for_all
-              (fun r -> exp_ok r.wr_lo && exp_ok r.wr_hi)
-              a.wa_ranges)
-          acqs
+  let ok =
+    ref
+      (List.for_all
+         (fun (v : var_decl) ->
+           match v.v_ty with
+           | Tstruct _ -> false
+           | Tarray _ as t -> flat_array t
+           | Tvoid | Tint | Tptr _ | Tfun _ -> true)
+         decls)
   in
-  let ok = ref true in
-  List.iter
-    (fun (v : var_decl) ->
-      match v.v_ty with Tarray _ | Tstruct _ -> ok := false | _ -> ())
-    (fd.f_params @ fd.f_locals);
-  iter_stmts (fun s -> if !ok && not (stmt_ok s) then ok := false) fd.f_body;
+  let check arr e = iter_exp (fun e -> if escapes arr e then ok := false) e in
+  iter_stmts (fun s -> if !ok then iter_stmt_exps check s) fd.f_body;
   !ok
 
-(* an expression that reads only scalar locals of a private frame *)
-let rec frame_only offsets = function
+(* The scalar globals of [p] that hold their initializers for the whole
+   run: no statement stores to one (a local of the same name shadows it)
+   and no expression takes its address. Each global is its own memory
+   block and an access outside a block faults, so no other access
+   reaches its cell. *)
+let fixed_globals (p : program) =
+  let fixed = Hashtbl.create 16 in
+  List.iter
+    (fun (g : global) ->
+      match g.g_ty with
+      | Tint | Tptr _ -> Hashtbl.replace fixed g.g_name ()
+      | Tvoid | Tarray _ | Tstruct _ | Tfun _ -> ())
+    p.p_globals;
+  List.iter
+    (fun (fd : fundec) ->
+      let locals = List.map (fun v -> v.v_name) (fd.f_params @ fd.f_locals) in
+      let drop lv =
+        match root lv with
+        | Some v when Hashtbl.mem fixed v && not (List.mem v locals) ->
+            Hashtbl.remove fixed v
+        | Some _ | None -> ()
+      in
+      let addr = function AddrOf lv -> drop lv | _ -> () in
+      iter_stmts
+        (fun s ->
+          Option.iter drop (stmt_target s);
+          iter_stmt_exps (fun _ e -> iter_exp addr e) s)
+        fd.f_body)
+    p.p_funs;
+  fixed
+
+(* [fixed_globals] of the last program this domain ran. Profile runs,
+   and a recording and its replays, build many engines over one
+   program; walking it for each cost a knot or apache profile run a few
+   percent of its time. The table is never written once built. *)
+let last_fixed : (program * (string, unit) Hashtbl.t) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let fixed_of (p : program) =
+  match Domain.DLS.get last_fixed with
+  | Some (q, fixed) when q == p -> fixed
+  | Some _ | None ->
+      let fixed = fixed_globals p in
+      Domain.DLS.set last_fixed (Some (p, fixed));
+      fixed
+
+(* An expression that reads only locals and elements of array locals of
+   a private frame, and fixed globals. A decayed array local reads no
+   cell; a private frame has one only in the arguments of builtins and
+   in weak range bounds, which are no private step sites. *)
+let rec frame_only eng offsets = function
   | Const _ -> true
-  | Lval (Var v) -> Hashtbl.mem offsets v
-  | Unop (_, e) -> frame_only offsets e
-  | Binop (_, a, b) -> frame_only offsets a && frame_only offsets b
+  | Lval (Var v) -> Hashtbl.mem offsets v || Hashtbl.mem eng.fixed v
+  | Lval (Index (Var a, e)) -> (
+      match Hashtbl.find_opt offsets a with
+      | Some (_, t) -> flat_array t && frame_only eng offsets e
+      | None -> false)
+  | Unop (_, e) -> frame_only eng offsets e
+  | Binop (_, a, b) -> frame_only eng offsets a && frame_only eng offsets b
   | Lval _ | AddrOf _ -> false
 
 (* The end of a call that returns to its caller: give the caller's
@@ -1989,8 +2096,9 @@ and compile_stmt eng ~offsets ~env ~pf (s : stmt) : thread -> unit =
   let on_stmt th =
     match eng.hooks.on_stmt with Some f -> hook_ev th f ev_stmt sid | None -> ()
   in
-  (* a step site whose rest reads only the private frame's locals *)
-  let priv e = pf && frame_only offsets e in
+  (* a step site whose rest reads only the private frame and fixed
+     globals *)
+  let priv e = pf && frame_only eng offsets e in
   match s.skind with
   | Assign (lv, e) ->
       let ce = compile_exp eng ~offsets ~env ~sid e in
@@ -3152,16 +3260,36 @@ let make_engine ?(config = default_config) ?(hooks = no_hooks ()) ?sink
     | None, Replay log -> Some (Replay.Replayer.of_log log)
     | None, _ -> None
   in
+  let layout = Layout.create prog.p_structs and mem = Mem.create () in
+  (* allocate and initialize globals *)
+  let globals = Hashtbl.create 64 and global_fault = ref None in
+  List.iter
+    (fun (g : global) ->
+      match Layout.sizeof layout g.g_ty with
+      | exception Invalid_argument m ->
+          if Option.is_none !global_fault then global_fault := Some m
+      | size ->
+          let size = max 1 size in
+          let blk = Mem.alloc mem (K.OGlobal g.g_name) size in
+          (match g.g_init with
+          | Some vals ->
+              List.iteri
+                (fun i v ->
+                  if i < size then Mem.store_at mem blk.Mem.b_id i (VInt v))
+                vals
+          | None -> ());
+          Hashtbl.replace globals g.g_name blk.Mem.b_id)
+    prog.p_globals;
   let eng =
     {
       prog;
       tenv = Minic.Typecheck.env_of_program prog;
-      layout = Layout.create prog.p_structs;
+      layout;
       cfg = config;
       mode;
       io;
       hooks;
-      mem = Mem.create ();
+      mem;
       mutexes = Runtime.Sync.Mutex.create ();
       barriers = Runtime.Sync.Barrier.create ();
       conds = Runtime.Sync.Cond.create ();
@@ -3172,7 +3300,9 @@ let make_engine ?(config = default_config) ?(hooks = no_hooks ()) ?sink
       n_multi = 0;
       n_busy = 0;
       quanta = Array.make config.cores config.quantum;
-      globals = Hashtbl.create 64;
+      globals;
+      fixed = fixed_of prog;
+      global_fault = !global_fault;
       recorder;
       replayer;
       sink;
@@ -3200,20 +3330,6 @@ let make_engine ?(config = default_config) ?(hooks = no_hooks ()) ?sink
       ahead_on = false;
     }
   in
-  (* allocate and initialize globals *)
-  List.iter
-    (fun (g : global) ->
-      let size = max 1 (Layout.sizeof eng.layout g.g_ty) in
-      let blk = Mem.alloc eng.mem (K.OGlobal g.g_name) size in
-      (match g.g_init with
-      | Some vals ->
-          List.iteri
-            (fun i v ->
-              if i < size then Mem.store_at eng.mem blk.Mem.b_id i (VInt v))
-            vals
-      | None -> ());
-      Hashtbl.replace eng.globals g.g_name blk.Mem.b_id)
-    prog.p_globals;
   eng
 
 (* a windowed replayer that reached its bound: the run stops cleanly *)
@@ -3232,7 +3348,11 @@ let run_engine (eng : t) : outcome =
     && eng.cfg.cost.c_stmt = 1;
   (* main thread *)
   let main = new_thread eng [] in
-  main.body <- Some (fun () -> thread_body eng main "main" []);
+  main.body <-
+    Some
+      (fun () ->
+        Option.iter (fun m -> raise (Value.Fault m)) eng.global_fault;
+        thread_body eng main "main" []);
   enqueue eng main;
   let timed_out = ref false in
   (* consecutive idle fast-forwards where the wake-up resolved nothing;

@@ -8,6 +8,10 @@
     - they never fault: array indices are loop variables bounded by the
       array size or mask expressions [e & (size-1)] over power-of-two
       sizes, and there is no division;
+    - each worker has a local array [la] of 8 ints, read and written at
+      masked indices, and expressions read [c0], a global initialized
+      and never written: threads run ahead through both (DESIGN.md
+      §25);
     - locks are block-scoped (lock/unlock always paired);
     - they are aggressively racy: unprotected accesses to shared scalars
       and arrays from several worker threads, mixed with properly locked
@@ -37,7 +41,8 @@ let gen_cfg : cfg G.t =
   return { n_scalars; arrays; n_mutexes; n_workers; n_threads; n_phases }
 
 (* expression over: locals t0/t1, id, loop vars in scope, shared scalars,
-   shared array reads with safe indices *)
+   the never-written global c0, shared and local array reads with safe
+   indices *)
 let rec gen_expr cfg ~loops ~depth : string G.t =
   let open G in
   let atom =
@@ -46,9 +51,10 @@ let rec gen_expr cfg ~loops ~depth : string G.t =
          map string_of_int (int_range 0 9);
          oneofl [ "t0"; "t1"; "id" ];
          map (fun k -> Fmt.str "g%d" k) (int_range 0 (cfg.n_scalars - 1));
+         return "c0";
        ]
       @ (if loops = [] then [] else [ oneofl loops ])
-      @ [ gen_array_read cfg ~loops ])
+      @ [ gen_array_read cfg ~loops; gen_local_read ~loops ])
   in
   if depth <= 0 then atom
   else
@@ -79,6 +85,13 @@ and gen_index cfg ~loops k : string G.t =
        map (fun v -> Fmt.str "(%s & %d)" v (size - 1)) (oneofl [ "t0"; "t1"; "id" ]);
      ]
     @ if bounded_loops = [] then [] else [ oneofl bounded_loops ])
+
+(* a masked index into the worker's local array [la] *)
+and gen_local_index ~loops : string G.t =
+  G.map (fun v -> Fmt.str "(%s & 7)" v) (G.oneofl ([ "t0"; "t1"; "id" ] @ loops))
+
+and gen_local_read ~loops : string G.t =
+  G.map (fun idx -> Fmt.str "la[%s]" idx) (gen_local_index ~loops)
 
 and gen_array_read cfg ~loops : string G.t =
   let open G in
@@ -113,6 +126,11 @@ and gen_stmt cfg ~loops ~depth ~in_lock : string G.t =
     let* e = gen_expr cfg ~loops ~depth:1 in
     return (Fmt.str "a%d[%s] = %s;" k idx e)
   in
+  let assign_local_array =
+    let* idx = gen_local_index ~loops in
+    let* e = gen_expr cfg ~loops ~depth:1 in
+    return (Fmt.str "la[%s] = %s;" idx e)
+  in
   let locked_block =
     let* m = int_range 0 (cfg.n_mutexes - 1) in
     let* body = gen_stmts cfg ~loops ~depth:0 ~in_lock:true ~n:2 () in
@@ -136,7 +154,12 @@ and gen_stmt cfg ~loops ~depth ~in_lock : string G.t =
     return (Fmt.str "if ((%s & 1) == 1) { %s }" c (String.concat " " body))
   in
   let base =
-    [ (3, assign_local); (3, assign_scalar); (3, assign_array) ]
+    [
+      (3, assign_local);
+      (3, assign_scalar);
+      (3, assign_array);
+      (2, assign_local_array);
+    ]
   in
   let with_lock =
     if in_lock then [] else [ ((if depth <= 0 then 1 else 2), locked_block) ]
@@ -161,7 +184,7 @@ let gen_worker cfg ~name : string G.t =
   return
     (Fmt.str
        {|void %s(int *idp) {
-  int t0; int t1; int id; int i0; int i1; int i2;
+  int t0; int t1; int id; int i0; int i1; int i2; int la[8];
   id = *idp;
   %s
 }|}
@@ -171,6 +194,7 @@ let gen_worker cfg ~name : string G.t =
 let gen_program : string G.t =
   let open G in
   let* cfg = gen_cfg in
+  let* c0 = G.int_range 1 9 in
   let* workers =
     flatten_l
       (List.init cfg.n_workers (fun k -> gen_worker cfg ~name:(Fmt.str "w%d" k)))
@@ -178,6 +202,7 @@ let gen_program : string G.t =
   let globals =
     String.concat "\n"
       (List.init cfg.n_scalars (fun k -> Fmt.str "int g%d;" k)
+      @ [ Fmt.str "int c0 = %d;" c0 ]
       @ List.mapi (fun k size -> Fmt.str "int a%d[%d];" k size) cfg.arrays
       @ List.init cfg.n_mutexes (fun k -> Fmt.str "int m%d;" k)
       @ [ "int bar;"; Fmt.str "int ids[%d];" cfg.n_threads ])
@@ -282,7 +307,7 @@ let gen_contended_worker cfg ~name : string G.t =
   return
     (Fmt.str
        {|void %s(int *idp) {
-  int t0; int t1; int id; int i0; int i1; int i2;
+  int t0; int t1; int id; int i0; int i1; int i2; int la[8];
   id = *idp;
   %s
 }|}
@@ -292,6 +317,7 @@ let gen_contended_worker cfg ~name : string G.t =
 let gen_contended_program : string G.t =
   let open G in
   let* cfg = gen_contended_cfg in
+  let* c0 = G.int_range 1 9 in
   let* workers =
     flatten_l
       (List.init cfg.n_workers (fun k ->
@@ -300,6 +326,7 @@ let gen_contended_program : string G.t =
   let globals =
     String.concat "\n"
       (List.init cfg.n_scalars (fun k -> Fmt.str "int g%d;" k)
+      @ [ Fmt.str "int c0 = %d;" c0 ]
       @ List.mapi (fun k size -> Fmt.str "int a%d[%d];" k size) cfg.arrays
       @ List.init cfg.n_mutexes (fun k -> Fmt.str "int m%d;" k)
       @ [ "int bar;"; Fmt.str "int ids[%d];" cfg.n_threads ])

@@ -590,7 +590,12 @@ let test_program_errors_fault_when_reached () =
   case "break outside a loop" ~outputs:[ 1 ] ~fault:"break or continue"
     {|int main() { output(1); break; output(2); return 0; }|};
   case "local of an unknown struct" ~outputs:[] ~fault:"sizeof: unknown struct"
-    {|int main() { struct nosuch s; output(1); return 0; }|}
+    {|int main() { struct nosuch s; output(1); return 0; }|};
+  (* the main thread faults before it calls [main] *)
+  case "global of an unknown struct" ~outputs:[]
+    ~fault:"sizeof: unknown struct nosuch"
+    {|int x = 4; struct nosuch g; int y;
+      int main() { output(x); return 0; }|}
 
 (* A region listing its locks out of canonical order still acquires them
    in canonical order (granularity rank, then id). *)

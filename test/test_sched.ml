@@ -165,15 +165,21 @@ let sched_pins =
    these cells is pinned above and did not move. *)
 let ahead_pins =
   [
-    ("ocean/default", ((58242, 17186), (60119, 14655)));
-    ("ocean/pct", ((58781, 16468), (60232, 14513)));
-    ("ocean/storm", ((58145, 14488), (59915, 12486)));
-    ("water/default", ((110375, 11393), (115707, 4847)));
-    ("water/pct", ((112809, 8391), (115707, 4838)));
-    ("water/storm", ((115611, 4169), (115707, 4063)));
-    ("apache/default", ((238, 34046), (323, 33537)));
-    ("apache/pct", ((238, 34046), (323, 33537)));
-    ("apache/storm", ((248, 28427), (327, 28011)));
+    ("ocean/default", ((58256, 17186), (60135, 14655)));
+    ("ocean/pct", ((58797, 16468), (60248, 14513)));
+    ("ocean/storm", ((58161, 14488), (59929, 12486)));
+    ("water/default", ((110389, 11393), (115723, 4847)));
+    ("water/pct", ((112829, 8391), (115727, 4838)));
+    ("water/storm", ((115627, 4169), (115725, 4063)));
+    ("apache/default", ((254, 34046), (348, 33537)));
+    ("apache/pct", ((254, 34046), (348, 33537)));
+    ("apache/storm", ((266, 28427), (352, 28011)));
+    ("pfscan/default", ((113553, 66), (113544, 79)));
+    ("pfscan/pct", ((113553, 66), (113544, 79)));
+    ("pfscan/storm", ((113548, 70), (113544, 74)));
+    ("pbzip2/default", ((52175, 29176), (53075, 28096)));
+    ("pbzip2/pct", ((52871, 28323), (53212, 27928)));
+    ("pbzip2/storm", ((53144, 23341), (53279, 23220)));
   ]
 
 let check_ahead_pin what (r : Chimera.Runner.recorded) (rp : Engine.outcome) =
@@ -679,6 +685,113 @@ let test_ahead_forced_release () =
   if r.rc_outcome.o_stats.n_steps_ahead = 0 then
     Alcotest.fail "strip: no thread ran ahead"
 
+(* a worker that fills a local array with [file_read], by its decayed
+   name and by the address of its first element, and scans it: its
+   frame is private, it runs ahead through the scan, and every figure
+   equals a run where no thread runs ahead *)
+let test_ahead_file_read () =
+  let src =
+    addr_src
+    ^ "void scan(int n) { int data[64]; int got; int k; int hits; int total;\n\
+    \  hits = 0; total = 0;\n\
+    \  while (total < n) {\n\
+    \    if (total % 128 == 0) { got = file_read(data, 64); }\n\
+    \    else { got = file_read(&data[0], 64); }\n\
+    \    for (k = 0; k < got; k++) { if (data[k] % 4 == 1) { hits = hits + 1; } }\n\
+    \    total = total + got; }\n\
+    \  output(hits); }\n\
+     int main() { int a; int b; int c; a = spawn(scan, 256);\n\
+    \  b = spawn(scan, 192); c = spawn(aw, 500);\n\
+    \  join(a); join(b); join(c); output(9); return 0; }"
+  in
+  let expected =
+    "ticks=3871 exit=- to=false outputs=[43;62;125250;9] \
+     steps=[T0=8;T0.0=1186;T0.1=884;T0.2=3510] faults=[] \
+     hash=338333539836370388 stmts=2559 mem=8941 forced=0"
+  in
+  ignore (directed "file_read" ~ahead:`Some src expected);
+  let off = Engine.no_hooks () in
+  off.on_sync <- Some (fun _ _ -> ());
+  ignore (directed "file_read, run-ahead off" ~hooks:off ~ahead:`None src expected)
+
+(* an array local whose address goes to a user call, to [spawn] or into
+   a pointer local makes its frame non-private: three such workers
+   never run ahead *)
+let test_ahead_array_escapes () =
+  ignore
+    (directed "array escapes" ~ahead:`None
+       "int sum2(int *p) { return p[0] + p[1]; }\n\
+        void bump(int *p) { *p = *p + 1; }\n\
+        int viacall(int n) { int a[2]; int i; int r; a[0] = 0; a[1] = 0;\n\
+       \  for (i = 0; i < n; i++) { a[i % 2] = a[i % 2] + i; }\n\
+       \  r = sum2(a); return r; }\n\
+        int viaspawn(int n) { int a[2]; int i; int t; a[0] = 0; a[1] = 0;\n\
+       \  for (i = 0; i < n; i++) { a[i % 2] = a[i % 2] + i; }\n\
+       \  t = spawn(bump, &a[1]); join(t); return a[0] + a[1]; }\n\
+        int viaptr(int n) { int a[2]; int i; int *p; p = &a[0]; a[0] = 0;\n\
+       \  a[1] = 0; for (i = 0; i < n; i++) { a[i % 2] = a[i % 2] + i; }\n\
+       \  return p[0] + a[1]; }\n\
+        void w1(int n) { int r; r = viacall(n); output(r); }\n\
+        void w2(int n) { int r; r = viaspawn(n); output(r); }\n\
+        void w3(int n) { int r; r = viaptr(n); output(r); }\n\
+        int main() { int a; int b; int c; a = spawn(w1, 300);\n\
+       \  b = spawn(w2, 250); c = spawn(w3, 200);\n\
+       \  join(a); join(b); join(c); output(5); return 0; }"
+       "ticks=1737 exit=- to=false outputs=[19900;31126;44850;5] \
+        steps=[T0=8;T0.0=1512;T0.1=1262;T0.1.0=2;T0.2=1012] faults=[] \
+        hash=338333539836370388 stmts=1535 mem=6798 forced=0")
+
+(* A global read counts as frame-only only while no statement stores to
+   it and no expression takes its address, even in a function never
+   called: every step of [rd] reads [g], so with [g] written or
+   address-taken nothing runs ahead. A local of the same name that is
+   stored to does not count. The executed code is the same in every
+   variant, and so are the figures. *)
+let test_ahead_fixed_global () =
+  let src extra =
+    "int g = 7;\n" ^ extra
+    ^ "\nint rd(int n) { int a[2]; a[g - 7] = g - 7; a[g - 6] = g - 7;\n\
+      \  while (a[g - 6] < n) { a[g - 7] = a[g - 7] + g; a[g - 6] = a[g - 6] + 1; }\n\
+      \  return a[g - 7]; }\n\
+       void rw(int n) { int r; r = rd(n); output(r); }\n\
+       int main() { int a; int b; a = spawn(rw, 300); b = spawn(rw, 200);\n\
+      \  join(a); join(b); output(1); return 0; }"
+  in
+  let expected =
+    "ticks=1722 exit=- to=false outputs=[1400;2100;1] \
+     steps=[T0=6;T0.0=1508;T0.1=1008] faults=[] hash=4282579830733753737 \
+     stmts=1018 mem=6032 forced=0"
+  in
+  List.iter
+    (fun (what, ahead, extra) ->
+      ignore (directed ("global " ^ what) ~ahead (src extra) expected))
+    [
+      ("never written", `Some, "");
+      ("shadowed by a stored local", `Some,
+        "void shadow() { int g; g = 3; output(g); }");
+      ("stored once, never called", `None, "void never() { g = 7; }");
+      ("address taken, never called", `None,
+        "void never() { int *q; q = &g; output(*q); }");
+    ]
+
+(* an index past the frame of a local array faults the thread while it
+   is ahead, with the per-tick path's text at its tick *)
+let test_ahead_array_fault () =
+  ignore
+    (directed "array fault" ~ahead:`Some
+       (addr_src
+      ^ "int over(int n) { int a[4]; int i; int s; s = 0;\n\
+       \  for (i = 0; i < n; i++) { a[i % 4] = i; s = s + a[i % 4]; }\n\
+       \  a[n] = s; return s; }\n\
+        void ow(int n) { int r; r = over(n); output(r); }\n\
+        int main() { int a; int b; int c; a = spawn(aw, 400);\n\
+       \  b = spawn(ow, 150); c = spawn(aw, 300);\n\
+       \  join(a); join(b); join(c); output(7); return 0; }")
+       "ticks=3036 exit=- to=false outputs=[45150;80200;7] \
+        steps=[T0=8;T0.0=2810;T0.1=1058;T0.2=2110] faults=[T0.1:out-of-bounds \
+        store at frame(T0.1,1)+151 (size 7)] hash=338333539836370388 \
+        stmts=2577 mem=9382 forced=0")
+
 let rand () =
   match Sys.getenv_opt "QCHECK_SEED" with
   | Some s -> Random.State.make [| int_of_string s |]
@@ -711,6 +824,14 @@ let suite =
         `Quick test_ahead_forced_release;
       Alcotest.test_case "ahead: outputs keep their order" `Quick
         test_ahead_outputs;
+      Alcotest.test_case "ahead: a local array filled by file_read" `Quick
+        test_ahead_file_read;
+      Alcotest.test_case "ahead: an escaping local array never runs ahead"
+        `Quick test_ahead_array_escapes;
+      Alcotest.test_case "ahead: only fixed globals are read ahead" `Quick
+        test_ahead_fixed_global;
+      Alcotest.test_case "ahead: a local-array index past the frame" `Quick
+        test_ahead_array_fault;
     ]
   @ List.map
       (fun s -> QCheck_alcotest.to_alcotest ~rand:(rand ()) (prop_run_ahead s))
